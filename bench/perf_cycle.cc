@@ -21,7 +21,6 @@
 #include <functional>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "proto/messages.h"
@@ -297,37 +296,36 @@ double sim_cycles_per_sec(Nanos sim_duration) {
   sds::sim::ExperimentConfig config;
   config.num_stages = 500;
   config.duration = sim_duration;
-  config.lanes = 1;  // pin serial: this pillar measures the DES core
   const auto start = std::chrono::steady_clock::now();
   auto result = sds::sim::run_experiment(config);
   if (!result.is_ok()) return 0;
   return static_cast<double>(result->cycles) / seconds_since(start);
 }
 
-// Serial-vs-lanes A/B on a hierarchical config (one aggregator subtree
-// per lane). Alongside throughput, a fingerprint over the result's
-// bit patterns asserts the parallel run is *identical* to serial — the
-// speedup only counts if determinism holds.
-struct LanesAb {
+// One hierarchical run (500 stages under 4 aggregators), optionally
+// traced. Alongside throughput, a fingerprint over the result's bit
+// patterns lets the tracing A/B assert that a traced run is *identical*
+// to an untraced one — the overhead figure only counts if tracing never
+// perturbs the simulation.
+struct HierRun {
   double cycles_per_sec = 0;
   std::uint64_t fingerprint = 0;
   bool ok = false;
 };
 
-LanesAb sim_cycles_with_lanes(Nanos sim_duration, std::size_t lanes,
-                              sds::telemetry::SpanTracer* tracer = nullptr,
-                              sds::telemetry::FlightRecorder* flight = nullptr) {
+HierRun run_hier_sim(Nanos sim_duration,
+                     sds::telemetry::SpanTracer* tracer = nullptr,
+                     sds::telemetry::FlightRecorder* flight = nullptr) {
   sds::sim::ExperimentConfig config;
   config.num_stages = 500;
   config.num_aggregators = 4;
   config.duration = sim_duration;
-  config.lanes = lanes;  // explicit, so the env default never interferes
   config.tracer = tracer;
   config.flight = flight;
   const auto start = std::chrono::steady_clock::now();
   auto result = sds::sim::run_experiment(config);
   if (!result.is_ok()) return {};
-  LanesAb out;
+  HierRun out;
   out.ok = true;
   out.cycles_per_sec = static_cast<double>(result->cycles) /
                        seconds_since(start);
@@ -381,43 +379,22 @@ int main(int argc, char** argv) {
   const double cycles = sim_cycles_per_sec(sim_duration);
   std::printf("sim.cycles_per_sec            %12.2f\n", cycles);
 
-  // Lanes A/B: same hierarchical experiment serial and with --lanes=4.
-  const std::size_t kAbLanes = 4;
-  const LanesAb serial = sim_cycles_with_lanes(sim_duration, 1);
-  const LanesAb laned = sim_cycles_with_lanes(sim_duration, kAbLanes);
-  const double lanes_speedup = serial.cycles_per_sec > 0
-                                   ? laned.cycles_per_sec /
-                                         serial.cycles_per_sec
-                                   : 0;
-  unsigned hw_threads = std::thread::hardware_concurrency();
-  if (hw_threads == 0) hw_threads = 1;
-  std::printf("sim.lanes.serial_cycles_per_sec %10.2f\n",
-              serial.cycles_per_sec);
-  std::printf("sim.lanes.lanes%zu_cycles_per_sec %10.2f\n", kAbLanes,
-              laned.cycles_per_sec);
-  std::printf("sim.lanes.speedup             %12.2fx  (hw threads: %u)\n",
-              lanes_speedup, hw_threads);
-  if (!serial.ok || !laned.ok ||
-      serial.fingerprint != laned.fingerprint) {
-    std::printf("FAIL: --lanes=%zu result diverges from serial "
-                "(fingerprint %016llx vs %016llx)\n",
-                kAbLanes,
-                static_cast<unsigned long long>(laned.fingerprint),
-                static_cast<unsigned long long>(serial.fingerprint));
+  // Tracing A/B: the same hierarchical experiment untraced, then with
+  // the span tracer AND the flight recorder armed. Two gates: the
+  // simulated results must be bit-identical (tracing only reads the
+  // virtual clock), and the throughput cost of always-on tracing must
+  // stay within 5%.
+  const HierRun untraced = run_hier_sim(sim_duration);
+  if (!untraced.ok) {
+    std::printf("FAIL: hierarchical sim run failed\n");
     return 1;
   }
-
-  // Tracing A/B: the same serial experiment with the span tracer AND the
-  // flight recorder armed. Two gates: the simulated results must be
-  // bit-identical (tracing only reads the virtual clock), and the
-  // throughput cost of always-on tracing must stay within 5%.
   sds::telemetry::SpanTracer ab_tracer;
   sds::telemetry::FlightRecorder ab_flight;
-  const LanesAb traced =
-      sim_cycles_with_lanes(sim_duration, 1, &ab_tracer, &ab_flight);
+  const HierRun traced = run_hier_sim(sim_duration, &ab_tracer, &ab_flight);
   const double tracing_overhead_pct_raw =
-      serial.cycles_per_sec > 0
-          ? (1.0 - traced.cycles_per_sec / serial.cycles_per_sec) * 100.0
+      untraced.cycles_per_sec > 0
+          ? (1.0 - traced.cycles_per_sec / untraced.cycles_per_sec) * 100.0
           : 0;
   // Run-to-run jitter on the shared CI box swings the raw figure a few
   // percent either way — a traced run can measure *faster* than serial
@@ -426,15 +403,17 @@ int main(int argc, char** argv) {
   // lucky negative sample masking a regression of equal size.
   const double tracing_overhead_pct =
       tracing_overhead_pct_raw > 0 ? tracing_overhead_pct_raw : 0.0;
+  std::printf("sim.tracing.untraced_cycles_per_sec %8.2f\n",
+              untraced.cycles_per_sec);
   std::printf("sim.tracing.cycles_per_sec    %12.2f\n",
               traced.cycles_per_sec);
   std::printf("sim.tracing.overhead_pct      %12.2f  (raw %.2f)\n",
               tracing_overhead_pct, tracing_overhead_pct_raw);
-  if (!traced.ok || traced.fingerprint != serial.fingerprint) {
+  if (!traced.ok || traced.fingerprint != untraced.fingerprint) {
     std::printf("FAIL: tracing changes simulated results "
                 "(fingerprint %016llx vs %016llx)\n",
                 static_cast<unsigned long long>(traced.fingerprint),
-                static_cast<unsigned long long>(serial.fingerprint));
+                static_cast<unsigned long long>(untraced.fingerprint));
     return 1;
   }
 
@@ -461,13 +440,8 @@ int main(int argc, char** argv) {
                  "  \"sim\": {\n"
                  "    \"num_stages\": 500,\n"
                  "    \"cycles_per_sec\": %.3f,\n"
-                 "    \"lanes\": {\n"
-                 "      \"serial_cycles_per_sec\": %.3f,\n"
-                 "      \"lanes4_cycles_per_sec\": %.3f,\n"
-                 "      \"speedup\": %.3f,\n"
-                 "      \"hw_threads\": %u\n"
-                 "    },\n"
                  "    \"tracing\": {\n"
+                 "      \"untraced_cycles_per_sec\": %.3f,\n"
                  "      \"cycles_per_sec\": %.3f,\n"
                  "      \"overhead_pct\": %.3f,\n"
                  "      \"overhead_pct_raw\": %.3f\n"
@@ -475,8 +449,7 @@ int main(int argc, char** argv) {
                  "  }\n"
                  "}\n",
                  quick ? "quick" : "full", wheel, legacy, speedup, enc, dec,
-                 denc, ddec, cycles, serial.cycles_per_sec,
-                 laned.cycles_per_sec, lanes_speedup, hw_threads,
+                 denc, ddec, cycles, untraced.cycles_per_sec,
                  traced.cycles_per_sec, tracing_overhead_pct,
                  tracing_overhead_pct_raw);
     std::fclose(f);
@@ -494,25 +467,9 @@ int main(int argc, char** argv) {
                 speedup);
     return 1;
   }
-  // Lanes gate, conditional on real concurrency: with >= 4 hardware
-  // threads the lane team must actually pay off; on narrower boxes (the
-  // 1-vCPU CI container) lanes run inline, so only guard against the
-  // round/merge machinery costing more than a quarter of throughput.
+  // Always-on tracing must stay cheap: span emission is a handful of
+  // hash derivations plus two ring writes per cycle.
   if (!quick) {
-    if (hw_threads >= 4 && lanes_speedup < 1.25) {
-      std::printf("FAIL: lanes speedup %.2fx below the 1.25x bar "
-                  "(%u hw threads)\n",
-                  lanes_speedup, hw_threads);
-      return 1;
-    }
-    if (hw_threads < 4 && lanes_speedup < 0.70) {
-      std::printf("FAIL: inline lanes overhead too high: %.2fx of serial "
-                  "(%u hw threads)\n",
-                  lanes_speedup, hw_threads);
-      return 1;
-    }
-    // Always-on tracing must stay cheap: span emission is a handful of
-    // hash derivations plus two ring writes per cycle.
     if (tracing_overhead_pct > 5.0) {
       std::printf("FAIL: tracing overhead %.2f%% above the 5%% bar\n",
                   tracing_overhead_pct);

@@ -108,15 +108,6 @@ struct ExperimentConfig {
   /// ExperimentResult::mean_data_utilization).
   Nanos utilization_sample_interval = millis(50);
   std::uint64_t seed = 42;
-  /// Simulation lanes: the event population is sharded across this many
-  /// engines and run in parallel between synchronization horizons (see
-  /// sim/parallel.h). Results are bit-identical for every lane count.
-  /// 0 = read SDSCALE_SIM_LANES from the environment (default 1).
-  /// The effective count is clamped to the topology's parallel units
-  /// (stages for flat, aggregators for hierarchical, peers for
-  /// coordinated) and to 1 when the profile's wire latency — the
-  /// conservative lookahead — is not positive.
-  std::size_t lanes = 0;
   /// Optional fault plan (not owned; must outlive the run). When set,
   /// the plan is compiled against the topology and injected at event
   /// granularity: crashed/partitioned stages stay silent, slow windows
@@ -124,12 +115,11 @@ struct ExperimentConfig {
   /// replies and acks. Controllers then close phases on the plan's
   /// quorum/deadline instead of waiting forever, recording degraded
   /// cycles, stale stages and recovery times. Injection is a pure
-  /// function of (plan seed, cycle, entity), so results stay
-  /// bit-identical across lane counts. Supported for the flat and
-  /// 2-level hierarchical topologies with central decisions,
-  /// pre-aggregation and parallel fan-out; nullptr = fault-free (the
-  /// hooks vanish and event schedules are byte-identical to pre-fault
-  /// builds).
+  /// function of (plan seed, cycle, entity), never of event
+  /// interleaving. Supported for the flat and 2-level hierarchical
+  /// topologies with central decisions, pre-aggregation and parallel
+  /// fan-out; nullptr = fault-free (the hooks vanish and event schedules
+  /// are byte-identical to pre-fault builds).
   const fault::FaultPlan* fault_plan = nullptr;
   /// Optional custom demand model; default: constant per-stage demand
   /// drawn uniformly from [500, 1500) data ops/s and [50, 150) meta
