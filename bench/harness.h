@@ -5,12 +5,16 @@
 // breakdown; CPU% / memory / tx / rx per controller).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/histogram.h"
@@ -180,6 +184,191 @@ inline bool extended_flag(int argc, char** argv) {
     if (std::string_view(argv[i]) == "--extended") return true;
   }
   return false;
+}
+
+/// `--reps=N`: how often a perf bench repeats each measurement
+/// (`fallback` when absent). Its gates judge the median.
+inline int reps_flag(int argc, char** argv, int fallback = 3) {
+  constexpr std::string_view kFlag = "--reps=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, kFlag.size()) != kFlag) continue;
+    const long reps = std::strtol(argv[i] + kFlag.size(), nullptr, 10);
+    if (reps < 1) {
+      std::fprintf(stderr, "%s: need a repetition count >= 1\n", argv[i]);
+      std::exit(2);
+    }
+    return static_cast<int>(reps);
+  }
+  return fallback;
+}
+
+/// The repetitions of one perf-bench metric.
+class Samples {
+ public:
+  void add(double value) { values_.push_back(value); }
+  /// Middle value; the mean of the two middle values for an even count.
+  [[nodiscard]] double median() const {
+    if (values_.empty()) return 0;
+    std::vector<double> sorted = values_;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t mid = sorted.size() / 2;
+    return sorted.size() % 2 != 0 ? sorted[mid]
+                                  : (sorted[mid - 1] + sorted[mid]) / 2;
+  }
+  [[nodiscard]] double min() const {
+    return values_.empty()
+               ? 0
+               : *std::min_element(values_.begin(), values_.end());
+  }
+  [[nodiscard]] double max() const {
+    return values_.empty()
+               ? 0
+               : *std::max_element(values_.begin(), values_.end());
+  }
+
+ private:
+  std::vector<double> values_;
+};
+
+/// Print one perf-bench row: `name  median  [min .. max]`.
+inline void print_samples(const char* name, const Samples& samples,
+                          int precision, const char* unit = "") {
+  std::printf("%-36s %14.*f%s  [%.*f .. %.*f]\n", name, precision,
+              samples.median(), unit, precision, samples.min(), precision,
+              samples.max());
+}
+
+/// The machine a perf bench ran on; BENCH_*.json records it so figures
+/// from different hosts are never compared blind.
+struct HostInfo {
+  std::string cpu_model = "unknown";
+  unsigned hardware_threads = 0;
+  std::string compiler = "unknown";
+  std::string build_type = "unknown";
+};
+
+inline HostInfo host_info() {
+  HostInfo host;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    const auto begin = line.find_first_not_of(' ', colon + 1);
+    if (colon != std::string::npos && begin != std::string::npos) {
+      host.cpu_model = line.substr(begin);
+    }
+    break;
+  }
+  host.hardware_threads = std::thread::hardware_concurrency();
+#if defined(__clang__)
+  host.compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  host.compiler = std::string("gcc ") + __VERSION__;
+#endif
+#ifdef SDSCALE_BUILD_TYPE
+  host.build_type = SDSCALE_BUILD_TYPE;
+#endif
+  return host;
+}
+
+/// Insertion-ordered JSON object for the BENCH_*.json reports. Values
+/// are rendered when added; nested objects keep their own fields.
+class JsonObject {
+ public:
+  JsonObject& num(std::string_view key, double value, int precision = 3) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.*f", precision, value);
+    return scalar(key, buf);
+  }
+  JsonObject& integer(std::string_view key, std::uint64_t value) {
+    return scalar(key, std::to_string(value));
+  }
+  JsonObject& boolean(std::string_view key, bool value) {
+    return scalar(key, value ? "true" : "false");
+  }
+  JsonObject& str(std::string_view key, std::string_view value) {
+    std::string quoted = "\"";
+    for (const char c : value) {
+      if (c == '"' || c == '\\') quoted += '\\';
+      quoted += c;
+    }
+    return scalar(key, quoted + "\"");
+  }
+  /// A repeated metric: {"median": .., "min": .., "max": ..}.
+  JsonObject& samples(std::string_view key, const Samples& s,
+                      int precision = 3) {
+    return object(key, JsonObject{}
+                           .num("median", s.median(), precision)
+                           .num("min", s.min(), precision)
+                           .num("max", s.max(), precision));
+  }
+  JsonObject& object(std::string_view key, JsonObject child) {
+    fields_.push_back({std::string(key), {}, std::move(child.fields_)});
+    return *this;
+  }
+  /// Append every field of `other`, in order.
+  JsonObject& append(const JsonObject& other) {
+    fields_.insert(fields_.end(), other.fields_.begin(), other.fields_.end());
+    return *this;
+  }
+
+  [[nodiscard]] std::string render() const { return render(fields_, 0); }
+
+ private:
+  struct Field {
+    std::string key;
+    std::string scalar;  // empty for a nested object
+    std::vector<Field> children;
+  };
+
+  static std::string render(const std::vector<Field>& fields,
+                            std::size_t indent) {
+    const std::string pad(indent + 2, ' ');
+    std::string out = "{\n";
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const Field& f = fields[i];
+      out += pad + "\"" + f.key + "\": ";
+      out += f.scalar.empty() ? render(f.children, indent + 2) : f.scalar;
+      out += i + 1 < fields.size() ? ",\n" : "\n";
+    }
+    return out + std::string(indent, ' ') + "}";
+  }
+
+  JsonObject& scalar(std::string_view key, std::string value) {
+    fields_.push_back({std::string(key), std::move(value), {}});
+    return *this;
+  }
+
+  std::vector<Field> fields_;
+};
+
+/// Write a perf bench's BENCH_<name>.json (in the working directory, or
+/// in $SDSCALE_BENCH_OUT): the common header — bench, mode, reps and
+/// the host block — followed by the bench's own sections.
+inline void write_bench_json(const std::string& file_name,
+                             std::string_view bench, bool quick, int reps,
+                             const JsonObject& sections) {
+  std::string path = file_name;
+  if (const char* dir = std::getenv("SDSCALE_BENCH_OUT")) {
+    path = std::string(dir) + "/" + file_name;
+  }
+  const HostInfo host = host_info();
+  JsonObject doc;
+  doc.str("bench", bench)
+      .str("mode", quick ? "quick" : "full")
+      .integer("reps", static_cast<std::uint64_t>(reps))
+      .object("host", JsonObject{}
+                          .str("cpu_model", host.cpu_model)
+                          .integer("hardware_threads", host.hardware_threads)
+                          .str("compiler", host.compiler)
+                          .str("build_type", host.build_type));
+  doc.append(sections);
+  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
+    std::fprintf(f, "%s\n", doc.render().c_str());
+    std::fclose(f);
+    std::printf("wrote %s\n", path.c_str());
+  }
 }
 
 /// Default simulated stress duration for bench runs. The paper runs >= 5

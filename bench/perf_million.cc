@@ -14,25 +14,27 @@
 //                                     2000) with delta collect frames,
 //                                     plus the full-recompute A/B.
 //
-// Writes BENCH_million.json (cwd, or $SDSCALE_BENCH_OUT/…). `--quick`
-// shrinks every section for the `million`-labeled CTest smoke;
-// `--extended` appends a 1M-stage (500 aggs × 2000) simulation row.
+// Every section repeats `--reps=N` times (default 3); BENCH_million.json
+// (cwd, or $SDSCALE_BENCH_OUT/…) gives each timed metric's median, min
+// and max plus the host block. `--quick` shrinks every section for the
+// `million`-labeled CTest smoke; `--extended` appends a 1M-stage
+// (500 aggs × 2000) simulation row.
 //
 // Regression gates (the acceptance bars from DESIGN.md §14):
 //   * incremental PSFA >= 5x faster than full recompute at 100k stages,
-//     1% churn (>= 3x at the quick scale);
+//     1% churn (>= 3x at the quick scale), judged on the median;
 //   * delta frames cut modeled collect wire bytes >= 3x;
-//   * every gated section asserts bit-identical allocations first.
+//   * every gated section asserts bit-identical allocations first, in
+//     every repetition.
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "common/rng.h"
 #include "core/global.h"
 #include "core/metrics_store.h"
@@ -288,12 +290,10 @@ SimRow sim_row(std::size_t stages, std::size_t aggregators,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool extended = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--extended") == 0) extended = true;
-  }
+  using sds::bench::Samples;
+  const bool quick = sds::bench::quick_flag(argc, argv);
+  const bool extended = sds::bench::extended_flag(argc, argv);
+  const int reps = sds::bench::reps_flag(argc, argv);
   // Quick shrinks stage counts ~5x and cycle counts so the `million`
   // CTest smoke finishes in seconds while exercising every code path
   // and every gate (at a softer speedup bar — the incremental win
@@ -311,151 +311,144 @@ int main(int argc, char** argv) {
   const std::uint64_t sim_cycles = 60;
   const double speedup_bar = quick ? 3.0 : 5.0;
 
-  std::printf("perf_million (%s)\n", quick ? "quick" : "full");
+  std::printf("perf_million (%s, %d reps: median [min .. max])\n",
+              quick ? "quick" : "full", reps);
 
-  const StoreThroughput store =
-      store_throughput(store_stages, store_jobs, store_cycles);
-  std::printf("store.update_msgs_per_sec     %14.0f\n",
-              store.full_msgs_per_sec);
-  std::printf("store.delta_fold_msgs_per_sec %14.0f\n",
-              store.delta_msgs_per_sec);
-  if (store.full_msgs_per_sec <= 0 || store.delta_msgs_per_sec <= 0) {
-    std::printf("FAIL: store fold rejected an in-sequence report\n");
-    return 1;
+  Samples store_full;
+  Samples store_delta;
+  Samples compute_inc;
+  Samples compute_full;
+  Samples compute_speedup;
+  Samples sim_cps;
+  Samples sim_eps;
+  Samples million_cps;
+  Samples million_eps;
+  ComputeAb compute;  // the last repetition's counters (deterministic)
+  SimRow sim;         // likewise: the wire figures are the same every rep
+  SimRow million;
+  for (int rep = 0; rep < reps; ++rep) {
+    const StoreThroughput store =
+        store_throughput(store_stages, store_jobs, store_cycles);
+    if (store.full_msgs_per_sec <= 0 || store.delta_msgs_per_sec <= 0) {
+      std::printf("FAIL: store fold rejected an in-sequence report\n");
+      return 1;
+    }
+    store_full.add(store.full_msgs_per_sec);
+    store_delta.add(store.delta_msgs_per_sec);
+
+    compute = compute_ab(store_stages, store_jobs, compute_cycles, churn);
+    if (!compute.identical) {
+      std::printf(
+          "FAIL: incremental PSFA diverged from --psfa-full-recompute\n");
+      return 1;
+    }
+    compute_inc.add(compute.incremental_cycles_per_sec);
+    compute_full.add(compute.full_cycles_per_sec);
+    compute_speedup.add(compute.speedup);
+
+    sim = sim_row(sim_stages, sim_aggs, sim_cycles, false);
+    if (!sim.ok) return 1;
+    const SimRow sim_full = sim_row(sim_stages, sim_aggs, sim_cycles, true);
+    if (!sim_full.ok) return 1;
+    if (sim.final_data_limit_sum != sim_full.final_data_limit_sum ||
+        sim.cycles != sim_full.cycles) {
+      std::printf("FAIL: end-to-end run diverged from --psfa-full-recompute "
+                  "(limit sum %.17g vs %.17g)\n",
+                  sim.final_data_limit_sum, sim_full.final_data_limit_sum);
+      return 1;
+    }
+    sim_cps.add(sim.cycles_per_sec);
+    sim_eps.add(sim.events_per_sec);
+
+    if (extended) {
+      million = sim_row(1'000'000, 500, 5, false);
+      if (!million.ok) return 1;
+      million_cps.add(million.cycles_per_sec);
+      million_eps.add(million.events_per_sec);
+    }
   }
 
-  const ComputeAb compute =
-      compute_ab(store_stages, store_jobs, compute_cycles, churn);
-  std::printf("compute.num_stages            %14zu\n", store_stages);
-  std::printf("compute.churn_pct             %14.1f\n", churn * 100);
-  std::printf("compute.incremental_cycles_per_sec %9.2f\n",
-              compute.incremental_cycles_per_sec);
-  std::printf("compute.full_cycles_per_sec   %14.2f\n",
-              compute.full_cycles_per_sec);
-  std::printf("compute.speedup               %13.2fx\n", compute.speedup);
-  std::printf("compute.jobs_resummed         %8llu vs %llu full\n",
+  sds::bench::print_samples("store.update_msgs_per_sec", store_full, 0);
+  sds::bench::print_samples("store.delta_fold_msgs_per_sec", store_delta, 0);
+  std::printf("compute.num_stages                   %14zu\n", store_stages);
+  std::printf("compute.churn_pct                    %14.1f\n", churn * 100);
+  sds::bench::print_samples("compute.incremental_cycles_per_sec",
+                            compute_inc, 2);
+  sds::bench::print_samples("compute.full_cycles_per_sec", compute_full, 2);
+  sds::bench::print_samples("compute.speedup", compute_speedup, 2, "x");
+  std::printf("compute.jobs_resummed                %8llu vs %llu full\n",
               static_cast<unsigned long long>(
                   compute.incremental_jobs_resummed),
               static_cast<unsigned long long>(compute.full_jobs_resummed));
-  if (!compute.identical) {
-    std::printf("FAIL: incremental PSFA diverged from --psfa-full-recompute\n");
-    return 1;
-  }
-  if (compute.speedup < speedup_bar) {
-    std::printf("FAIL: incremental speedup %.2fx below the %.1fx bar\n",
-                compute.speedup, speedup_bar);
-    return 1;
+  std::printf("sim.num_stages                       %14zu\n", sim.stages);
+  std::printf("sim.aggregators                      %14zu\n", sim.aggregators);
+  std::printf("sim.cycles                           %14llu\n",
+              static_cast<unsigned long long>(sim.cycles));
+  sds::bench::print_samples("sim.cycles_per_sec", sim_cps, 2);
+  sds::bench::print_samples("sim.events_per_sec", sim_eps, 0);
+  std::printf("sim.collect_wire_bytes               %14llu\n",
+              static_cast<unsigned long long>(sim.wire_bytes));
+  std::printf("sim.collect_wire_bytes_full          %14llu\n",
+              static_cast<unsigned long long>(sim.wire_bytes_full));
+  std::printf("sim.delta_compression                %13.2fx\n", sim.wire_ratio);
+  if (extended) {
+    sds::bench::print_samples("sim1m.cycles_per_sec", million_cps, 2);
+    sds::bench::print_samples("sim1m.events_per_sec", million_eps, 0);
+    std::printf("sim1m.delta_compression              %13.2fx\n",
+                million.wire_ratio);
   }
 
-  const SimRow sim = sim_row(sim_stages, sim_aggs, sim_cycles, false);
-  if (!sim.ok) return 1;
-  const SimRow sim_full = sim_row(sim_stages, sim_aggs, sim_cycles, true);
-  if (!sim_full.ok) return 1;
-  std::printf("sim.num_stages                %14zu\n", sim.stages);
-  std::printf("sim.aggregators               %14zu\n", sim.aggregators);
-  std::printf("sim.cycles                    %14llu\n",
-              static_cast<unsigned long long>(sim.cycles));
-  std::printf("sim.cycles_per_sec            %14.2f\n", sim.cycles_per_sec);
-  std::printf("sim.events_per_sec            %14.0f\n", sim.events_per_sec);
-  std::printf("sim.collect_wire_bytes        %14llu\n",
-              static_cast<unsigned long long>(sim.wire_bytes));
-  std::printf("sim.collect_wire_bytes_full   %14llu\n",
-              static_cast<unsigned long long>(sim.wire_bytes_full));
-  std::printf("sim.delta_compression         %13.2fx\n", sim.wire_ratio);
-  if (sim.final_data_limit_sum != sim_full.final_data_limit_sum ||
-      sim.cycles != sim_full.cycles) {
-    std::printf("FAIL: end-to-end run diverged from --psfa-full-recompute "
-                "(limit sum %.17g vs %.17g)\n",
-                sim.final_data_limit_sum, sim_full.final_data_limit_sum);
+  using sds::bench::JsonObject;
+  JsonObject sections;
+  sections
+      .object("store", JsonObject{}
+                           .integer("num_stages", store_stages)
+                           .samples("update_msgs_per_sec", store_full, 0)
+                           .samples("delta_fold_msgs_per_sec", store_delta, 0))
+      .object("compute",
+              JsonObject{}
+                  .integer("num_stages", store_stages)
+                  .integer("num_jobs", store_jobs)
+                  .num("churn_pct", churn * 100, 1)
+                  .samples("incremental_cycles_per_sec", compute_inc, 2)
+                  .samples("full_recompute_cycles_per_sec", compute_full, 2)
+                  .samples("speedup", compute_speedup, 2)
+                  .boolean("bit_identical", compute.identical))
+      .object("sim",
+              JsonObject{}
+                  .integer("num_stages", sim.stages)
+                  .integer("num_aggregators", sim.aggregators)
+                  .integer("cycles", sim.cycles)
+                  .samples("cycles_per_sec", sim_cps, 2)
+                  .samples("events_per_sec", sim_eps, 0)
+                  .integer("collect_wire_bytes", sim.wire_bytes)
+                  .integer("collect_wire_bytes_full", sim.wire_bytes_full)
+                  .num("delta_compression", sim.wire_ratio, 2)
+                  .integer("collect_frames_full", sim.frames_full)
+                  .integer("collect_frames_delta", sim.frames_delta)
+                  .boolean("full_recompute_bit_identical", true));
+  if (extended) {
+    sections.object("sim_million",
+                    JsonObject{}
+                        .integer("num_stages", million.stages)
+                        .integer("num_aggregators", million.aggregators)
+                        .integer("cycles", million.cycles)
+                        .samples("cycles_per_sec", million_cps, 2)
+                        .samples("events_per_sec", million_eps, 0)
+                        .num("delta_compression", million.wire_ratio, 2));
+  }
+  sds::bench::write_bench_json("BENCH_million.json", "perf_million", quick,
+                               reps, sections);
+
+  if (compute_speedup.median() < speedup_bar) {
+    std::printf("FAIL: median incremental speedup %.2fx below the %.1fx bar\n",
+                compute_speedup.median(), speedup_bar);
     return 1;
   }
   if (sim.wire_ratio < 3.0) {
     std::printf("FAIL: delta compression %.2fx below the 3x bar\n",
                 sim.wire_ratio);
     return 1;
-  }
-
-  SimRow million;
-  if (extended) {
-    million = sim_row(1'000'000, 500, 5, false);
-    if (!million.ok) return 1;
-    std::printf("sim1m.cycles_per_sec          %14.2f\n",
-                million.cycles_per_sec);
-    std::printf("sim1m.events_per_sec          %14.0f\n",
-                million.events_per_sec);
-    std::printf("sim1m.delta_compression       %13.2fx\n",
-                million.wire_ratio);
-  }
-
-  std::string path = "BENCH_million.json";
-  if (const char* dir = std::getenv("SDSCALE_BENCH_OUT")) {
-    path = std::string(dir) + "/BENCH_million.json";
-  }
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"perf_million\",\n"
-                 "  \"mode\": \"%s\",\n"
-                 "  \"store\": {\n"
-                 "    \"num_stages\": %zu,\n"
-                 "    \"update_msgs_per_sec\": %.0f,\n"
-                 "    \"delta_fold_msgs_per_sec\": %.0f\n"
-                 "  },\n"
-                 "  \"compute\": {\n"
-                 "    \"num_stages\": %zu,\n"
-                 "    \"num_jobs\": %zu,\n"
-                 "    \"churn_pct\": %.1f,\n"
-                 "    \"incremental_cycles_per_sec\": %.2f,\n"
-                 "    \"full_recompute_cycles_per_sec\": %.2f,\n"
-                 "    \"speedup\": %.2f,\n"
-                 "    \"bit_identical\": %s\n"
-                 "  },\n"
-                 "  \"sim\": {\n"
-                 "    \"num_stages\": %zu,\n"
-                 "    \"num_aggregators\": %zu,\n"
-                 "    \"cycles\": %llu,\n"
-                 "    \"cycles_per_sec\": %.2f,\n"
-                 "    \"events_per_sec\": %.0f,\n"
-                 "    \"collect_wire_bytes\": %llu,\n"
-                 "    \"collect_wire_bytes_full\": %llu,\n"
-                 "    \"delta_compression\": %.2f,\n"
-                 "    \"collect_frames_full\": %llu,\n"
-                 "    \"collect_frames_delta\": %llu,\n"
-                 "    \"full_recompute_bit_identical\": true\n"
-                 "  }%s",
-                 quick ? "quick" : "full", store_stages,
-                 store.full_msgs_per_sec, store.delta_msgs_per_sec,
-                 store_stages, store_jobs, churn * 100,
-                 compute.incremental_cycles_per_sec,
-                 compute.full_cycles_per_sec, compute.speedup,
-                 compute.identical ? "true" : "false", sim.stages,
-                 sim.aggregators,
-                 static_cast<unsigned long long>(sim.cycles),
-                 sim.cycles_per_sec, sim.events_per_sec,
-                 static_cast<unsigned long long>(sim.wire_bytes),
-                 static_cast<unsigned long long>(sim.wire_bytes_full),
-                 sim.wire_ratio,
-                 static_cast<unsigned long long>(sim.frames_full),
-                 static_cast<unsigned long long>(sim.frames_delta),
-                 extended ? ",\n" : "\n");
-    if (extended) {
-      std::fprintf(f,
-                   "  \"sim_million\": {\n"
-                   "    \"num_stages\": %zu,\n"
-                   "    \"num_aggregators\": %zu,\n"
-                   "    \"cycles\": %llu,\n"
-                   "    \"cycles_per_sec\": %.2f,\n"
-                   "    \"events_per_sec\": %.0f,\n"
-                   "    \"delta_compression\": %.2f\n"
-                   "  }\n",
-                   million.stages, million.aggregators,
-                   static_cast<unsigned long long>(million.cycles),
-                   million.cycles_per_sec, million.events_per_sec,
-                   million.wire_ratio);
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
   }
   return 0;
 }

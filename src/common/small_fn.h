@@ -27,6 +27,14 @@ inline constexpr std::size_t kSmallFnInlineBytes = 88;
 
 class SmallFn {
  public:
+  /// True iff a closure of type Fn lives in the inline buffer; any other
+  /// closure costs one heap allocation.
+  template <typename Fn>
+  static constexpr bool kStoresInline =
+      sizeof(Fn) <= kSmallFnInlineBytes &&
+      alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
+
   SmallFn() = default;
 
   template <typename F,
@@ -35,9 +43,7 @@ class SmallFn {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFn(F&& fn) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kSmallFnInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (kStoresInline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       ops_ = &inline_ops<Fn>;
     } else {
@@ -79,9 +85,7 @@ class SmallFn {
   void emplace(F&& fn) {
     reset();
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kSmallFnInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (kStoresInline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       ops_ = &inline_ops<Fn>;
     } else {
@@ -98,7 +102,7 @@ class SmallFn {
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -108,6 +112,9 @@ class SmallFn {
     void (*invoke)(void*);
     /// Move-construct into `to` from `from`, then destroy `from`.
     void (*relocate)(void* to, void* from);
+    /// Null for a trivially destructible inline closure: most event
+    /// captures are plain values, and skipping the call saves an
+    /// indirect jump per event.
     void (*destroy)(void*);
   };
 
@@ -119,7 +126,9 @@ class SmallFn {
         ::new (to) Fn(std::move(*src));
         src->~Fn();
       },
-      [](void* s) { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); }};
+      std::is_trivially_destructible_v<Fn>
+          ? nullptr
+          : +[](void* s) { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); }};
 
   template <typename Fn>
   static constexpr Ops heap_ops{

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/rng.h"
@@ -28,24 +29,6 @@ Nanos seconds_to_nanos(double s) {
   return Nanos{static_cast<std::int64_t>(s * 1e9)};
 }
 
-/// Merge scripted crashes + churn arrivals into a sorted, non-overlapping
-/// outage timeline for one entity.
-std::vector<DownInterval> normalize(std::vector<DownInterval> intervals) {
-  std::sort(intervals.begin(), intervals.end(),
-            [](const DownInterval& a, const DownInterval& b) {
-              return a.from < b.from;
-            });
-  std::vector<DownInterval> merged;
-  for (const DownInterval& iv : intervals) {
-    if (!merged.empty() && iv.from <= merged.back().until) {
-      merged.back().until = std::max(merged.back().until, iv.until);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  return merged;
-}
-
 /// Expand a Poisson failure process for one entity: exponential
 /// inter-arrival times with mean `mtbf_s`, exponential outages with mean
 /// `downtime_s` (<= 0 downtime means permanent).
@@ -63,6 +46,16 @@ void expand_churn(Rng& rng, double mtbf_s, double downtime_s, Nanos horizon,
     out.push_back({at, at + seconds_to_nanos(outage_s)});
     t_s += outage_s + rng.exponential(1.0 / mtbf_s);
   }
+}
+
+/// Mean number of outages expand_churn draws per entity, plus one: a
+/// capacity hint so a tier's timeline array is written once.
+std::size_t expected_churn_outages(double mtbf_s, double downtime_s,
+                                   Nanos horizon) {
+  if (mtbf_s <= 0) return 0;
+  if (downtime_s <= 0) return 1;
+  return static_cast<std::size_t>(to_seconds(horizon) / (mtbf_s + downtime_s)) +
+         1;
 }
 
 }  // namespace
@@ -267,51 +260,83 @@ CompiledPlan CompiledPlan::compile(const FaultPlan& plan,
   compiled.slow_windows_ = plan.slow_windows;
   compiled.partitions_ = plan.partitions;
 
-  compiled.stage_down_.assign(num_stages, {});
-  compiled.aggregator_down_.assign(num_aggregators, {});
-
+  // Scripted crashes, grouped by entity (sparse: most have none).
+  std::vector<std::vector<DownInterval>> stage_crashes(num_stages);
+  std::vector<std::vector<DownInterval>> aggregator_crashes(num_aggregators);
   for (const StageCrash& crash : plan.stage_crashes) {
     if (crash.stage >= num_stages) continue;  // off-topology: ignore
     const Nanos until =
         crash.down_for > Nanos{0} ? crash.at + crash.down_for : kNever;
-    compiled.stage_down_[crash.stage].push_back({crash.at, until});
+    stage_crashes[crash.stage].push_back({crash.at, until});
   }
   for (const AggregatorCrash& crash : plan.aggregator_crashes) {
     if (crash.aggregator >= num_aggregators) continue;
     const Nanos until =
         crash.down_for > Nanos{0} ? crash.at + crash.down_for : kNever;
-    compiled.aggregator_down_[crash.aggregator].push_back({crash.at, until});
+    aggregator_crashes[crash.aggregator].push_back({crash.at, until});
   }
 
-  // Churn expansion: one split RNG stream per entity, derived from
-  // (seed, tier, id) — independent of every other entity's stream.
-  if (plan.stage_mtbf_s > 0) {
-    for (std::size_t i = 0; i < num_stages; ++i) {
-      Rng rng(SplitMix64(plan.seed ^ (0xA11CE5ULL + i)).next());
-      expand_churn(rng, plan.stage_mtbf_s, plan.stage_downtime_s, horizon,
-                   compiled.stage_down_[i]);
+  // Each entity's timeline is its crashes plus its churn, expanded from
+  // one split RNG stream per entity, derived from (seed, tier, id) —
+  // independent of every other entity's stream.
+  std::vector<DownInterval> scratch;
+  const auto build_tier = [&](Timelines& tier,
+                              const std::vector<std::vector<DownInterval>>& crashes,
+                              double mtbf_s, double downtime_s,
+                              std::size_t crash_count, auto stream_seed) {
+    tier.reserve(crashes.size(),
+                 crashes.size() * expected_churn_outages(mtbf_s, downtime_s,
+                                                         horizon) +
+                     crash_count);
+    for (std::size_t e = 0; e < crashes.size(); ++e) {
+      scratch = crashes[e];
+      if (mtbf_s > 0) {
+        Rng rng(SplitMix64(stream_seed(e)).next());
+        expand_churn(rng, mtbf_s, downtime_s, horizon, scratch);
+      }
+      tier.append(scratch);
     }
-  }
-  if (plan.aggregator_mtbf_s > 0) {
-    for (std::size_t a = 0; a < num_aggregators; ++a) {
-      Rng rng(SplitMix64(plan.seed ^ (0xB0B0ULL + (a << 20))).next());
-      expand_churn(rng, plan.aggregator_mtbf_s, plan.aggregator_downtime_s,
-                   horizon, compiled.aggregator_down_[a]);
-    }
-  }
-
-  for (auto& intervals : compiled.stage_down_) {
-    intervals = normalize(std::move(intervals));
-    compiled.total_outages_ += intervals.size();
-  }
-  for (auto& intervals : compiled.aggregator_down_) {
-    intervals = normalize(std::move(intervals));
-    compiled.total_outages_ += intervals.size();
-  }
+  };
+  build_tier(compiled.stage_down_, stage_crashes, plan.stage_mtbf_s,
+             plan.stage_downtime_s, plan.stage_crashes.size(),
+             [&](std::size_t i) { return plan.seed ^ (0xA11CE5ULL + i); });
+  build_tier(compiled.aggregator_down_, aggregator_crashes,
+             plan.aggregator_mtbf_s, plan.aggregator_downtime_s,
+             plan.aggregator_crashes.size(), [&](std::size_t a) {
+               return plan.seed ^ (0xB0B0ULL + (a << 20));
+             });
+  compiled.total_outages_ =
+      compiled.stage_down_.total() + compiled.aggregator_down_.total();
   return compiled;
 }
 
-bool CompiledPlan::up_at(const std::vector<DownInterval>& intervals, Nanos t) {
+void CompiledPlan::Timelines::reserve(std::size_t entities,
+                                      std::size_t intervals) {
+  offsets_.reserve(entities + 1);
+  if (offsets_.empty()) offsets_.push_back(0);
+  // A hint only: a short estimate costs one regrowth. Pages of a large
+  // reservation that are never written stay out of the resident set.
+  intervals_.reserve(intervals + intervals / 4);
+}
+
+void CompiledPlan::Timelines::append(std::vector<DownInterval>& intervals) {
+  std::sort(intervals.begin(), intervals.end(),
+            [](const DownInterval& a, const DownInterval& b) {
+              return a.from < b.from;
+            });
+  // Merge overlapping outages (ties in `from` merge whatever their order).
+  const std::size_t begin = intervals_.size();
+  for (const DownInterval& iv : intervals) {
+    if (intervals_.size() > begin && iv.from <= intervals_.back().until) {
+      intervals_.back().until = std::max(intervals_.back().until, iv.until);
+    } else {
+      intervals_.push_back(iv);
+    }
+  }
+  offsets_.push_back(static_cast<std::uint32_t>(intervals_.size()));
+}
+
+bool CompiledPlan::up_at(std::span<const DownInterval> intervals, Nanos t) {
   // First interval starting after t; the one before it is the only
   // candidate cover.
   auto it = std::upper_bound(
@@ -323,12 +348,12 @@ bool CompiledPlan::up_at(const std::vector<DownInterval>& intervals, Nanos t) {
 }
 
 bool CompiledPlan::stage_up(std::size_t stage, Nanos t) const {
-  return stage >= stage_down_.size() || up_at(stage_down_[stage], t);
+  return stage >= stage_down_.size() || up_at(stage_down_.of(stage), t);
 }
 
 bool CompiledPlan::aggregator_up(std::size_t aggregator, Nanos t) const {
   return aggregator >= aggregator_down_.size() ||
-         up_at(aggregator_down_[aggregator], t);
+         up_at(aggregator_down_.of(aggregator), t);
 }
 
 bool CompiledPlan::partitioned(std::size_t stage, Nanos t) const {
@@ -366,13 +391,15 @@ MessageFate CompiledPlan::message_fate(MessageKind kind, std::uint64_t cycle,
 Nanos CompiledPlan::last_stage_restart_before(std::size_t stage,
                                               Nanos t) const {
   if (stage >= stage_down_.size()) return Nanos{-1};
-  const std::vector<DownInterval>& intervals = stage_down_[stage];
-  Nanos restart{-1};
-  for (const DownInterval& iv : intervals) {
-    if (iv.until == kNever || iv.until > t) break;
-    restart = iv.until;
-  }
-  return restart;
+  const std::span<const DownInterval> intervals = stage_down_.of(stage);
+  // Merged intervals are disjoint and sorted, so their ends ascend too:
+  // the outages over by `t` are a prefix, and the last of them holds the
+  // latest restart. A permanent outage (kNever) never restarts.
+  auto it = std::upper_bound(
+      intervals.begin(), intervals.end(), t,
+      [](Nanos value, const DownInterval& iv) { return value < iv.until; });
+  if (it != intervals.begin() && std::prev(it)->until == kNever) --it;
+  return it == intervals.begin() ? Nanos{-1} : std::prev(it)->until;
 }
 
 std::size_t CompiledPlan::quorum_count(std::size_t expected) const {

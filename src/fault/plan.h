@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -209,15 +210,15 @@ class CompiledPlan {
   /// Total scheduled outages (stage + aggregator), for tests/reporting.
   [[nodiscard]] std::size_t total_outages() const { return total_outages_; }
 
-  /// Expanded outage timelines (sorted, non-overlapping), one vector per
+  /// Expanded outage timelines (sorted, non-overlapping), one span per
   /// entity. The runtime FaultDriver turns these into kill/restart calls.
-  [[nodiscard]] const std::vector<DownInterval>& stage_outages(
+  [[nodiscard]] std::span<const DownInterval> stage_outages(
       std::size_t stage) const {
-    return stage_down_[stage];
+    return stage_down_.of(stage);
   }
-  [[nodiscard]] const std::vector<DownInterval>& aggregator_outages(
+  [[nodiscard]] std::span<const DownInterval> aggregator_outages(
       std::size_t aggregator) const {
-    return aggregator_down_[aggregator];
+    return aggregator_down_.of(aggregator);
   }
   [[nodiscard]] std::size_t num_stages() const { return stage_down_.size(); }
   [[nodiscard]] std::size_t num_aggregators() const {
@@ -225,13 +226,37 @@ class CompiledPlan {
   }
 
  private:
+  /// Every entity's timeline in one array: entity e owns
+  /// intervals[offsets[e], offsets[e + 1]). One allocation for the whole
+  /// tier, so per-message up() checks stay in a few cache lines.
+  class Timelines {
+   public:
+    /// Size for `entities` timelines of about `intervals` outages total.
+    void reserve(std::size_t entities, std::size_t intervals);
+    /// Add the next entity's timeline: `intervals` (any order; sorted in
+    /// place) merged into disjoint outages.
+    void append(std::vector<DownInterval>& intervals);
+    [[nodiscard]] std::span<const DownInterval> of(std::size_t entity) const {
+      return {intervals_.data() + offsets_[entity],
+              intervals_.data() + offsets_[entity + 1]};
+    }
+    [[nodiscard]] std::size_t size() const {
+      return offsets_.empty() ? 0 : offsets_.size() - 1;
+    }
+    [[nodiscard]] std::size_t total() const { return intervals_.size(); }
+
+   private:
+    std::vector<std::uint32_t> offsets_;
+    std::vector<DownInterval> intervals_;
+  };
+
   CompiledPlan() = default;
 
-  [[nodiscard]] static bool up_at(const std::vector<DownInterval>& intervals,
+  [[nodiscard]] static bool up_at(std::span<const DownInterval> intervals,
                                   Nanos t);
 
-  std::vector<std::vector<DownInterval>> stage_down_;
-  std::vector<std::vector<DownInterval>> aggregator_down_;
+  Timelines stage_down_;
+  Timelines aggregator_down_;
   std::vector<SlowWindow> slow_windows_;
   std::vector<PartitionWindow> partitions_;
   std::uint64_t seed_ = 0;

@@ -395,7 +395,8 @@ Result<EnforceBatch> EnforceBatch::decode(Decoder& dec) {
   return batch;
 }
 
-std::size_t EnforceBatch::wire_size() const {
+std::size_t EnforceBatch::wire_size(std::uint64_t cycle_id,
+                                     std::span<const Rule> rules) {
   std::size_t size =
       Encoder::varint_size(cycle_id) + Encoder::varint_size(rules.size());
   for (const auto& r : rules) size += r.wire_size();

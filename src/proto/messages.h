@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -263,7 +264,13 @@ struct EnforceBatch {
 
   void encode(wire::Encoder& enc) const;
   static Result<EnforceBatch> decode(wire::Decoder& dec);
-  [[nodiscard]] std::size_t wire_size() const;
+  [[nodiscard]] std::size_t wire_size() const {
+    return wire_size(cycle_id, rules);
+  }
+  /// Body size of a batch of `rules` for `cycle_id`, without building it
+  /// (the simulator sizes one-rule frames this way).
+  [[nodiscard]] static std::size_t wire_size(std::uint64_t cycle_id,
+                                             std::span<const Rule> rules);
   bool operator==(const EnforceBatch&) const = default;
 };
 

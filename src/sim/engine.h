@@ -8,9 +8,14 @@
 //
 // Event core (allocation-lean fast path):
 //   * Closures are placement-new'd once into SmallFn cells of a stable
-//     slab (deque + free-list): constructed in place, executed in place,
-//     never relocated, and no per-event heap allocation for the capture
-//     sizes the cycle driver produces.
+//     slab: constructed in place, executed in place, never relocated,
+//     and no per-event heap allocation for the capture sizes the cycle
+//     driver produces. The slab is a list of fixed power-of-two chunks
+//     (kChunkCells cells each), so a slot resolves with one shift, one
+//     mask and one indirection; growing the slab appends a chunk and
+//     never moves a cell. Freed slots are reused LIFO, so the cell an
+//     event is parked in is usually still cache-warm from the event
+//     that just ran.
 //   * The time-ordered structures shuffle only 24-byte POD keys
 //     {at, seq, slot}, so ordering work is cheap POD moves instead of
 //     type-erased closure relocations.
@@ -25,15 +30,17 @@
 //     global priority queue — bucket boundaries never reorder events.
 //   * Keys beyond the wheel horizon overflow to a min-heap and migrate
 //     into the wheel as the cursor advances (amortized O(1) per event).
-//   * schedule_batch() lets fan-out bursts (one collect to N stages)
-//     enter the wheel through one call with scratch-vector reuse.
+//   * schedule_batch() enters a burst of pre-built EventFn closures in
+//     one call with scratch-vector reuse. Raw closures are better
+//     scheduled one by one: schedule_at builds them in their cell
+//     directly, where a batch entry is built once and then relocated.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -51,6 +58,10 @@ class Engine {
     Nanos at;
     EventFn fn;
   };
+
+  /// Closure cells per slab chunk: 4096 x 96 B = 384 KiB.
+  static constexpr int kChunkShift = 12;
+  static constexpr std::uint32_t kChunkCells = std::uint32_t{1} << kChunkShift;
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -94,6 +105,9 @@ class Engine {
   [[nodiscard]] bool empty() const { return pending_ == 0; }
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  /// Slab cells ever handed out: the most events pending at once. Freed
+  /// cells are reused, so this stops growing in a steady state.
+  [[nodiscard]] std::size_t slab_cells() const { return slab_cells_; }
 
   // The step/insert/alloc_slot core is allocation-lean by construction
   // (slab reuse, POD key shuffling); sdslint keeps it that way.
@@ -110,10 +124,11 @@ class Engine {
     --pending_;
     now_ = key.at;
     ++executed_;
-    // Run the closure in place: deque cells are address-stable, so events
+    // Run the closure in place: chunk cells are address-stable, so events
     // this closure schedules (which may grow the slab) cannot move it.
-    slab_[key.slot]();
-    slab_[key.slot].reset();  // release captures promptly
+    EventFn& fn = cell(key.slot);
+    fn();
+    fn.reset();  // release captures promptly
     free_slots_.push_back(key.slot);
     return true;
   }
@@ -151,6 +166,8 @@ class Engine {
     bool operator()(const Key& a, const Key& b) const { return earlier(b, a); }
   };
 
+  static constexpr std::uint32_t kChunkMask = kChunkCells - 1;
+
   // 4096 buckets x 2.048 us = an 8.4 ms horizon, matched to the event
   // spacing the control-cycle driver produces (microseconds); coarser
   // timers (cycle periods, samplers) take the overflow heap.
@@ -176,19 +193,25 @@ class Engine {
     return active_idx_ >= active_.size() && incoming_.empty();
   }
 
+  [[nodiscard]] EventFn& cell(std::uint32_t slot) const {
+    return chunks_[slot >> kChunkShift][slot & kChunkMask];
+  }
+
   /// Park `fn` in a slab cell (reusing a freed one when possible) and
   /// return its index. Cells are only written here and in step(), so a
   /// cell is never reassigned while its closure is pending or running.
   template <typename F>
   std::uint32_t alloc_slot(F&& fn) {
+    std::uint32_t slot;
     if (!free_slots_.empty()) {
-      const std::uint32_t slot = free_slots_.back();
+      slot = free_slots_.back();
       free_slots_.pop_back();
-      slab_[slot].emplace(std::forward<F>(fn));
-      return slot;
+    } else {
+      if (slab_cells_ == chunks_.size() << kChunkShift) grow_slab();
+      slot = slab_cells_++;
     }
-    slab_.emplace_back(std::forward<F>(fn));
-    return static_cast<std::uint32_t>(slab_.size() - 1);
+    cell(slot).emplace(std::forward<F>(fn));
+    return slot;
   }
 
   template <typename F>
@@ -218,6 +241,11 @@ class Engine {
   }
   // sdslint: end-hotpath
 
+  /// Append one chunk of empty cells; existing cells never move.
+  void grow_slab() {
+    chunks_.push_back(std::unique_ptr<EventFn[]>(new EventFn[kChunkCells]));
+  }
+
   /// The next key in execution order. Precondition: prepare_next() true.
   [[nodiscard]] const Key& next_key() const {
     if (!incoming_.empty() && (active_idx_ >= active_.size() ||
@@ -245,10 +273,10 @@ class Engine {
 #if defined(__GNUC__) || defined(__clang__)
     const std::size_t look = active_idx_ + 3;
     if (look < active_.size()) {
-      const auto* cell =
-          reinterpret_cast<const unsigned char*>(&slab_[active_[look].slot]);
-      __builtin_prefetch(cell);       // closure storage
-      __builtin_prefetch(cell + 64);  // ops pointer (read first by invoke)
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(&cell(active_[look].slot));
+      __builtin_prefetch(bytes);       // closure storage
+      __builtin_prefetch(bytes + 64);  // ops pointer (read first by invoke)
     }
 #endif
   }
@@ -318,7 +346,9 @@ class Engine {
     active_.clear();
     active_.swap(bucket);
     active_idx_ = 0;
-    std::sort(active_.begin(), active_.end(), earlier);
+    // A lambda, not the function pointer, so the comparison inlines.
+    std::sort(active_.begin(), active_.end(),
+              [](const Key& a, const Key& b) { return earlier(a, b); });
   }
 
   Nanos now_{0};
@@ -326,9 +356,12 @@ class Engine {
   std::uint64_t executed_ = 0;
   std::size_t pending_ = 0;
 
-  /// Closure cells; deque for address stability (executing closures and
-  /// slab growth never relocate a pending cell).
-  std::deque<EventFn> slab_;
+  /// Closure cells, kChunkCells per chunk; slot s lives in chunk
+  /// s >> kChunkShift at s & kChunkMask. Chunks are never freed or moved
+  /// before the engine dies, so executing closures and slab growth never
+  /// relocate a pending cell.
+  std::vector<std::unique_ptr<EventFn[]>> chunks_;
+  std::uint32_t slab_cells_ = 0;  // cells ever handed out (the high water)
   std::vector<std::uint32_t> free_slots_;
 
   /// Absolute bucket number under the cursor; events with this bucket

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -31,6 +32,85 @@ std::size_t frame_size(const M& msg) {
 Nanos scaled(Nanos per_item, std::size_t count) {
   return Nanos{per_item.count() * static_cast<std::int64_t>(count)};
 }
+
+// Compile-time guards for the per-stage paths. A closure that does not
+// fit SmallFn's inline buffer costs one heap allocation per stage per
+// cycle, so on these paths it fails the build instead. `inline_event`
+// checks a closure handed to the engine or to SimHost::run/receive;
+// `inline_send` checks one handed to SimHost::send/broadcast, which
+// wraps it in the NIC continuation first.
+template <typename F>
+F&& inline_event(F&& fn) {
+  static_assert(SmallFn::kStoresInline<std::decay_t<F>>,
+                "per-stage closure spills out of SmallFn's inline buffer");
+  return std::forward<F>(fn);
+}
+
+template <typename F>
+F&& inline_send(F&& fn) {
+  static_assert(SmallFn::kStoresInline<SimHost::NicEvent<std::decay_t<F>>>,
+                "per-stage send closure spills out of SmallFn's inline buffer");
+  return std::forward<F>(fn);
+}
+
+/// One collect reply in flight: exactly one report, the full
+/// StageMetrics or (under delta_collect) its delta against the stage's
+/// previous report, plus the route back to the collector as 32-bit
+/// indices. The cycle it answers is the report's own cycle_id. `this`
+/// plus a StageReply fills a SmallFn cell exactly, so a reply crosses
+/// the wire and the receive queue with no heap allocation.
+class StageReply {
+ public:
+  StageReply(const proto::StageMetrics& full, std::uint32_t agg,
+             std::uint32_t slot)
+      : full_(full), agg_(agg), slot_(slot), is_delta_(false) {}
+  StageReply(const proto::StageMetricsDelta& delta, std::uint32_t agg,
+             std::uint32_t slot)
+      : delta_(delta), agg_(agg), slot_(slot), is_delta_(true) {}
+
+  [[nodiscard]] bool is_delta() const { return is_delta_; }
+  [[nodiscard]] const proto::StageMetrics& full() const { return full_; }
+  [[nodiscard]] const proto::StageMetricsDelta& delta() const { return delta_; }
+  [[nodiscard]] std::uint64_t cycle() const {
+    return is_delta_ ? delta_.cycle_id : full_.cycle_id;
+  }
+  /// Aggregator index (hierarchical) and the stage's slot in its
+  /// collector's store (subtree-local, or the stage index when flat).
+  [[nodiscard]] std::uint32_t agg() const { return agg_; }
+  [[nodiscard]] std::uint32_t slot() const { return slot_; }
+
+  /// Modeled frame bytes of the report as sent.
+  [[nodiscard]] std::size_t wire() const {
+    return is_delta_ ? frame_size(delta_) : frame_size(full_);
+  }
+  /// Frame bytes the full report would have taken (its size depends on
+  /// the cycle id only).
+  [[nodiscard]] std::size_t wire_full() const {
+    if (!is_delta_) return frame_size(full_);
+    proto::StageMetrics full;
+    full.cycle_id = delta_.cycle_id;
+    return frame_size(full);
+  }
+
+  /// The duplicate copy of a reply pays receive cost but is discarded.
+  [[nodiscard]] bool duplicate() const { return duplicate_; }
+  [[nodiscard]] StageReply as_duplicate() const {
+    StageReply copy = *this;
+    copy.duplicate_ = true;
+    return copy;
+  }
+
+ private:
+  union {
+    proto::StageMetrics full_;
+    proto::StageMetricsDelta delta_;
+  };
+  std::uint32_t agg_;
+  std::uint32_t slot_;
+  bool is_delta_;
+  bool duplicate_ = false;
+};
+static_assert(std::is_trivially_copyable_v<StageReply>);
 
 /// One simulated run. Event closures capture `this` and plain indices;
 /// all vectors are sized before the first event fires. Cross-cycle
@@ -370,10 +450,14 @@ class Run {
     eng_.schedule_in(prof_.phase_sync_overhead, std::move(fn));
   }
 
-  /// Wire size of one enforce message carrying `rules` rules (the real
-  /// Cheferd payload is larger per rule; see FronteraProfile).
-  [[nodiscard]] std::size_t enforce_frame_size(const proto::EnforceBatch& batch) const {
-    return frame_size(batch) + batch.rules.size() * prof_.rule_extra_wire_bytes;
+  /// Wire size of one enforce message carrying `rules` (the real
+  /// Cheferd payload is larger per rule; see FronteraProfile). Takes the
+  /// fields, not a batch, so a one-rule frame is sized without building
+  /// a vector.
+  [[nodiscard]] std::size_t enforce_frame_size(
+      std::uint64_t cycle, std::span<const proto::Rule> rules) const {
+    return proto::EnforceBatch::wire_size(cycle, rules) +
+           wire::kFrameHeaderSize + rules.size() * prof_.rule_extra_wire_bytes;
   }
 
   void start_cycle() {
@@ -518,17 +602,18 @@ class Run {
     // Every peer runs the full global PSFA (the redundancy that buys
     // central-controller-free global visibility), then splits only its
     // own subtree.
-    auto rules = std::make_shared<std::vector<proto::Rule>>(
-        peer.core->compute_own_rules(cycle_, peer.summaries, peer.collected));
     const Nanos cost = scaled(prof_.cpu_psfa_per_job, num_jobs()) +
                        scaled(prof_.cpu_split_per_stage,
                               peer.stage_indices.size());
-    peer.host->run(cost, [this, p, rules] {
+    peer.host->run(cost, [this, p,
+                          rules = peer.core->compute_own_rules(
+                              cycle_, peer.summaries, peer.collected)] {
       peers_[p]->compute_done_at = eng_.now();
-      peer_enforce(p, *rules);
+      peer_enforce(p, rules);
     });
   }
 
+  // sdslint: hotpath
   void peer_enforce(std::size_t p, const std::vector<proto::Rule>& rules) {
     Peer& peer = *peers_[p];
     peer.pending_acks = rules.size();
@@ -537,20 +622,17 @@ class Run {
       return;
     }
     for (const auto& rule : rules) {
-      proto::EnforceBatch single;
-      single.cycle_id = cycle_;
-      single.rules.push_back(rule);
-      const std::size_t sz = enforce_frame_size(single);
       peer.host->send(
-          sz,
-          [this, p, rule] {
+          enforce_frame_size(cycle_, {&rule, 1}),
+          inline_send([this, p, rule] {
             apply_rule_and_ack(rule, peers_[p]->host.get(), [this, p](Nanos) {
               if (--peers_[p]->pending_acks == 0) peer_enforce_done(p);
             });
-          },
+          }),
           prof_.cpu_route_per_rule);
     }
   }
+  // sdslint: end-hotpath
 
   void peer_enforce_done(std::size_t p) {
     peers_[p]->enforce_done_at = eng_.now();
@@ -639,6 +721,29 @@ class Run {
 
   // -- Flat design -----------------------------------------------------
 
+  /// Frame a stage report for the wire: under delta_collect a stage
+  /// that already reported sends the compact delta against its previous
+  /// report, refreshed with a full frame every `delta_refresh` cycles
+  /// (staggered by stage index).
+  StageReply frame_report(std::size_t i, const proto::StageMetrics& m,
+                          std::uint32_t agg, std::uint32_t slot) {
+    if (!delta_collect_) return {m, agg, slot};
+    const StageReply reply =
+        has_report_[i] != 0 && (cycle_ + i) % cfg_.delta_refresh != 0
+            ? StageReply{proto::StageMetricsDelta::make(
+                             last_report_[i], m, /*include_stage_id=*/false),
+                         agg, slot}
+            : StageReply{m, agg, slot};
+    last_report_[i] = m;
+    has_report_[i] = 1;
+    return reply;
+  }
+
+  // sdslint: hotpath
+  // Per-stage collect fan-out and reply (flat and hierarchical): every
+  // closure here runs once per stage per cycle and rides inline in its
+  // engine cell.
+
   void start_collect_flat() {
     // The store path folds reports in place; the scratch vector is only
     // the legacy/fault pipeline's.
@@ -652,44 +757,17 @@ class Run {
         on_flat_collect_deadline(c);
       });
     }
-    global_host_.broadcast(cfg_.num_stages, collect_req_size_,
-                           [this](std::size_t i) {
-                             return [this, i] { on_stage_collect_flat(i); };
-                           });
-  }
-
-  /// Frame a stage report for the wire: under delta_collect a stage
-  /// that already reported sends the compact delta against its previous
-  /// report, refreshed with a full frame every `delta_refresh` cycles
-  /// (staggered by stage index).
-  struct CollectFrame {
-    proto::StageMetricsDelta delta;
-    std::size_t wire = 0;       ///< modeled frame bytes (delta or full)
-    std::size_t wire_full = 0;  ///< full-frame equivalent bytes
-    bool is_delta = false;
-  };
-  CollectFrame frame_report(std::size_t i, const proto::StageMetrics& m) {
-    CollectFrame f;
-    f.wire_full = frame_size(m);
-    f.wire = f.wire_full;
-    if (delta_collect_) {
-      if (has_report_[i] != 0 && (cycle_ + i) % cfg_.delta_refresh != 0) {
-        f.delta = proto::StageMetricsDelta::make(last_report_[i], m,
-                                                 /*include_stage_id=*/false);
-        f.wire = frame_size(f.delta);
-        f.is_delta = true;
-      }
-      last_report_[i] = m;
-      has_report_[i] = 1;
-    }
-    return f;
+    global_host_.broadcast(
+        cfg_.num_stages, collect_req_size_, [this](std::size_t i) {
+          return inline_send([this, i] { on_stage_collect_flat(i); });
+        });
   }
 
   void on_stage_collect_flat(std::size_t i) {
     if (fault_ != nullptr && !stage_reachable(i, eng_.now())) return;
     const proto::StageMetrics m = stages_[i].collect(cycle_, eng_.now());
-    const CollectFrame fr = frame_report(i, m);
-    const std::size_t sz = fr.wire;
+    const StageReply reply =
+        frame_report(i, m, /*agg=*/0, static_cast<std::uint32_t>(i));
     Nanos latency = stage_latency(i, eng_.now());
     if (cfg_.tracer != nullptr && i == 0) {
       // Representative per-stage span (stage 0 only — one per cycle, not
@@ -713,47 +791,58 @@ class Run {
       return;
     }
     for (std::size_t copy = 0; copy < copies; ++copy) {
-      const bool first = copy == 0;
-      eng_.schedule_in(latency, [this, i, m, fr, sz, first, c = cycle_] {
-        global_host_.receive(sz, [this, i, m, fr, first, c] {
-          if (fault_ != nullptr &&
-              (!first || !collect_open_ || c != cycle_ ||
-               collect_seen_[i] != 0)) {
-            return;  // duplicate or post-deadline straggler
-          }
-          if (fault_ != nullptr) {
-            collect_seen_[i] = 1;
-            note_fresh_reply(i, eng_.now(), cycle_recoveries_);
-          }
-          account_collect_frame(fr);
-          if (store_collect_) {
-            if (fr.is_delta) {
-              const core::DeltaStatus status = store_.apply_delta(
-                  fr.delta, static_cast<std::uint32_t>(i));
-              assert(status == core::DeltaStatus::kApplied);
-              (void)status;
-            } else {
-              store_.update_at(static_cast<std::uint32_t>(i), m);
-            }
-          } else {
-            flat_metrics_[i] = m;
-          }
-          if (--flat_pending_ == 0) close_collect_flat(false);
-        });
-      });
+      const StageReply sent = copy == 0 ? reply : reply.as_duplicate();
+      eng_.schedule_in(latency, inline_event([this, sent] {
+        global_host_.receive(sent.wire(), inline_event([this, sent] {
+          on_flat_reply(sent);
+        }));
+      }));
+    }
+  }
+
+  void on_flat_reply(const StageReply& reply) {
+    const std::uint32_t i = reply.slot();
+    if (fault_ != nullptr &&
+        (reply.duplicate() || !collect_open_ || reply.cycle() != cycle_ ||
+         collect_seen_[i] != 0)) {
+      return;  // duplicate or post-deadline straggler
+    }
+    if (fault_ != nullptr) {
+      collect_seen_[i] = 1;
+      note_fresh_reply(i, eng_.now(), cycle_recoveries_);
+    }
+    account_collect_frame(reply);
+    if (store_collect_) {
+      fold_reply(store_, reply);
+    } else {
+      flat_metrics_[i] = reply.full();
+    }
+    if (--flat_pending_ == 0) close_collect_flat(false);
+  }
+
+  /// Fold one accepted report into a collector's store at its slot.
+  static void fold_reply(core::MetricsStore& store, const StageReply& reply) {
+    if (reply.is_delta()) {
+      const core::DeltaStatus status =
+          store.apply_delta(reply.delta(), reply.slot());
+      assert(status == core::DeltaStatus::kApplied);
+      (void)status;
+    } else {
+      store.update_at(reply.slot(), reply.full());
     }
   }
 
   /// Wire accounting for one accepted collect report.
-  void account_collect_frame(const CollectFrame& fr) {
-    collect_wire_bytes_ += fr.wire;
-    collect_wire_bytes_full_ += fr.wire_full;
-    if (fr.is_delta) {
+  void account_collect_frame(const StageReply& reply) {
+    collect_wire_bytes_ += reply.wire();
+    collect_wire_bytes_full_ += reply.wire_full();
+    if (reply.is_delta()) {
       ++collect_frames_delta_;
     } else {
       ++collect_frames_full_;
     }
   }
+  // sdslint: end-hotpath
 
   void on_flat_collect_deadline(std::uint64_t c) {
     if (!collect_open_ || c != cycle_) return;
@@ -828,20 +917,18 @@ class Run {
         on_enforce_deadline(c);
       });
     }
+    // sdslint: hotpath
     for (const auto& rule : compute_view_->rules) {
-      proto::EnforceBatch single;
-      single.cycle_id = cycle_;
-      single.rules.push_back(rule);
-      const std::size_t sz = enforce_frame_size(single);
       global_host_.send(
-          sz,
-          [this, rule, c = cycle_] {
+          enforce_frame_size(cycle_, {&rule, 1}),
+          inline_send([this, rule, c = cycle_] {
             apply_rule_and_ack(rule, &global_host_, [this, c](Nanos at) {
               on_global_direct_ack(c, at);
             });
-          },
+          }),
           prof_.cpu_route_per_rule);
     }
+    // sdslint: end-hotpath
   }
 
   void on_global_direct_ack(std::uint64_t c, Nanos applied_at) {
@@ -867,6 +954,7 @@ class Run {
     finish_cycle();
   }
 
+  // sdslint: hotpath
   /// At the stage: apply `rule` (real logic), then send the ack back to
   /// `receiver` which runs `done` — passing the virtual instant the stage
   /// applied the rule, for `disseminate` attribution — after its receive
@@ -874,8 +962,9 @@ class Run {
   /// nor acks, and the ack is subject to the kEnforceAck message fate —
   /// silent stages surface as missing acks and the phase deadline
   /// closes the cycle degraded.
+  template <typename Done>
   void apply_rule_and_ack(const proto::Rule& rule, SimHost* receiver,
-                          std::function<void(Nanos)> done) {
+                          const Done& done) {
     const std::size_t idx = rule.stage_id.value();
     assert(idx < stages_.size());
     if (fault_ != nullptr && !stage_reachable(idx, eng_.now())) return;
@@ -891,19 +980,18 @@ class Run {
         !reply_fate(fault::MessageKind::kEnforceAck, idx, latency, copies)) {
       return;
     }
-    auto shared_done =
-        std::make_shared<std::function<void(Nanos)>>(std::move(done));
     for (std::size_t copy = 0; copy < copies; ++copy) {
       const bool first = copy == 0;
-      eng_.schedule_in(latency, [this, receiver, sz, first, applied_at,
-                                 shared_done] {
-        receiver->receive(sz, [first, applied_at, shared_done] {
+      eng_.schedule_in(latency, inline_event([this, receiver, sz, first,
+                                              applied_at, done] {
+        receiver->receive(sz, inline_event([first, applied_at, done] {
           // The duplicate copy pays receive cost but is deduplicated.
-          if (first) (*shared_done)(applied_at);
-        });
-      });
+          if (first) done(applied_at);
+        }));
+      }));
     }
   }
+  // sdslint: end-hotpath
 
   // -- Hierarchical design ----------------------------------------------
 
@@ -1032,6 +1120,7 @@ class Run {
     });
   }
 
+  // sdslint: hotpath
   void agg_collect_fanout(std::size_t a) {
     if (fault_ != nullptr) {
       Agg& agg = *aggs_[a];
@@ -1054,62 +1143,61 @@ class Run {
         on_agg_collect_deadline(a, c);
       });
     }
+    const auto agg_index = static_cast<std::uint32_t>(a);
     const std::vector<std::size_t>& indices = aggs_[a]->stage_indices;
     aggs_[a]->host->broadcast(indices.size(), collect_req_size_, [&](std::size_t i) {
-      const std::size_t idx = indices[i];
-      return [this, a, i, idx] {
-        if (fault_ != nullptr && !stage_reachable(idx, eng_.now())) {
-          return;
-        }
-        const proto::StageMetrics m = stages_[idx].collect(cycle_, eng_.now());
-        const CollectFrame fr = frame_report(idx, m);
-        const std::size_t sz = fr.wire;
-        Nanos latency = stage_latency(idx, eng_.now());
-        std::size_t copies = 1;
-        if (fault_ != nullptr &&
-            !reply_fate(fault::MessageKind::kCollectReply, idx, latency,
-                        copies)) {
-          return;
-        }
-        for (std::size_t copy = 0; copy < copies; ++copy) {
-          const bool first = copy == 0;
-          eng_.schedule_in(
-              latency, [this, a, i, idx, m, fr, sz, first, c = cycle_] {
-                aggs_[a]->host->receive(sz, [this, a, i, idx, m, fr, first, c] {
-                  Agg& agg = *aggs_[a];
-                  if (fault_ != nullptr) {
-                    if (!first || !agg.collect_open || agg.fault_cycle != c ||
-                        agg.fault_seen[i] != 0) {
-                      return;  // duplicate or post-deadline straggler
-                    }
-                    agg.fault_seen[i] = 1;
-                    note_fresh_reply(idx, eng_.now(), agg.recoveries);
-                  }
-                  account_collect_frame(fr);
-                  if (store_collect_) {
-                    // Slot index == position in stage_indices (bind order).
-                    if (fr.is_delta) {
-                      const core::DeltaStatus status =
-                          agg.core->store().apply_delta(
-                              fr.delta, static_cast<std::uint32_t>(i));
-                      assert(status == core::DeltaStatus::kApplied);
-                      (void)status;
-                    } else {
-                      agg.core->store().update_at(static_cast<std::uint32_t>(i),
-                                                  m);
-                    }
-                  } else {
-                    agg.collected.push_back(m);
-                  }
-                  if (--agg.pending_metrics == 0) {
-                    agg_close_collect(a, false);
-                  }
-                });
-              });
-        }
-      };
+      const auto idx = static_cast<std::uint32_t>(indices[i]);
+      const auto slot = static_cast<std::uint32_t>(i);
+      return inline_send([this, agg_index, slot, idx] {
+        on_stage_collect_hier(agg_index, slot, idx);
+      });
     });
   }
+
+  /// At stage `idx`, slot `slot` of aggregator `a`'s subtree.
+  void on_stage_collect_hier(std::uint32_t a, std::uint32_t slot,
+                             std::uint32_t idx) {
+    if (fault_ != nullptr && !stage_reachable(idx, eng_.now())) return;
+    const proto::StageMetrics m = stages_[idx].collect(cycle_, eng_.now());
+    const StageReply reply = frame_report(idx, m, a, slot);
+    Nanos latency = stage_latency(idx, eng_.now());
+    std::size_t copies = 1;
+    if (fault_ != nullptr &&
+        !reply_fate(fault::MessageKind::kCollectReply, idx, latency, copies)) {
+      return;
+    }
+    for (std::size_t copy = 0; copy < copies; ++copy) {
+      const StageReply sent = copy == 0 ? reply : reply.as_duplicate();
+      eng_.schedule_in(latency, inline_event([this, sent] {
+        SimHost& host = *aggs_[sent.agg()]->host;
+        host.receive(sent.wire(),
+                     inline_event([this, sent] { on_agg_reply(sent); }));
+      }));
+    }
+  }
+
+  void on_agg_reply(const StageReply& reply) {
+    const std::uint32_t a = reply.agg();
+    const std::uint32_t i = reply.slot();
+    Agg& agg = *aggs_[a];
+    if (fault_ != nullptr) {
+      if (reply.duplicate() || !agg.collect_open ||
+          agg.fault_cycle != reply.cycle() || agg.fault_seen[i] != 0) {
+        return;  // duplicate or post-deadline straggler
+      }
+      agg.fault_seen[i] = 1;
+      note_fresh_reply(agg.stage_indices[i], eng_.now(), agg.recoveries);
+    }
+    account_collect_frame(reply);
+    if (store_collect_) {
+      // Slot index == position in stage_indices (bind order).
+      fold_reply(agg.core->store(), reply);
+    } else {
+      agg.collected.push_back(reply.full());
+    }
+    if (--agg.pending_metrics == 0) agg_close_collect(a, false);
+  }
+  // sdslint: end-hotpath
 
   void on_agg_collect_deadline(std::size_t a, std::uint64_t c) {
     Agg& agg = *aggs_[a];
@@ -1379,7 +1467,8 @@ class Run {
                                 enforce_batches_[a].rules.begin(),
                                 enforce_batches_[a].rules.end());
         }
-        const std::size_t sz = enforce_frame_size(combined);
+        const std::size_t sz =
+            enforce_frame_size(combined.cycle_id, combined.rules);
         const Nanos routing =
             scaled(prof_.cpu_route_per_rule, combined.rules.size());
         global_host_.send(
@@ -1417,7 +1506,7 @@ class Run {
     super.rule_applied_max = Nanos{-1};
     for (const std::size_t a : super.children) {
       const proto::EnforceBatch& batch = enforce_batches_[a];
-      const std::size_t sz = enforce_frame_size(batch);
+      const std::size_t sz = enforce_frame_size(batch.cycle_id, batch.rules);
       const Nanos routing = scaled(prof_.cpu_route_per_rule, batch.rules.size());
       super.host->send(
           sz,
@@ -1449,7 +1538,7 @@ class Run {
 
   void send_enforce_to_agg(std::size_t a) {
     const proto::EnforceBatch& batch = enforce_batches_[a];
-    const std::size_t sz = enforce_frame_size(batch);
+    const std::size_t sz = enforce_frame_size(batch.cycle_id, batch.rules);
     const Nanos routing = scaled(prof_.cpu_route_per_rule, batch.rules.size());
     global_host_.send(
         sz,
@@ -1504,14 +1593,11 @@ class Run {
     agg_merged_ack(a);  // partial: applied < expected marks the cycle degraded
   }
 
+  // sdslint: hotpath
   void send_rule_from_agg(std::size_t a, const proto::Rule& rule) {
-    proto::EnforceBatch single;
-    single.cycle_id = cycle_;
-    single.rules.push_back(rule);
-    const std::size_t sz = enforce_frame_size(single);
     aggs_[a]->host->send(
-        sz,
-        [this, a, rule, c = cycle_] {
+        enforce_frame_size(cycle_, {&rule, 1}),
+        inline_send([this, a, rule, c = cycle_] {
           apply_rule_and_ack(
               rule, aggs_[a]->host.get(), [this, a, c](Nanos applied_at) {
                 Agg& agg = *aggs_[a];
@@ -1527,9 +1613,10 @@ class Run {
                   agg_merged_ack(a);
                 }
               });
-        },
+        }),
         prof_.cpu_route_per_rule);
   }
+  // sdslint: end-hotpath
 
   void send_lease_to_agg(std::size_t a) {
     const std::size_t sz = frame_size(leases_[a]);

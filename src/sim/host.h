@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.h"
 #include "sim/profile.h"
@@ -28,12 +27,43 @@ class SimHost {
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Execute `fn` after `cpu_cost` of serial CPU work on this host.
-  void run(Nanos cpu_cost, Engine::EventFn fn) {
+  /// Templated so a raw closure is constructed directly in its engine
+  /// cell, with no intermediate EventFn to relocate.
+  template <typename F>
+  void run(Nanos cpu_cost, F&& fn) {
     const Nanos start = std::max(engine_->now(), cpu_free_);
     cpu_free_ = start + cpu_cost;
     busy_ns_ += cpu_cost.count();
-    engine_->schedule_at(cpu_free_, std::move(fn));
+    engine_->schedule_at(cpu_free_, std::forward<F>(fn));
   }
+
+  /// The NIC-serialization continuation shared by send() and broadcast():
+  /// occupies the transmit link for size/bandwidth, then schedules
+  /// `on_arrival` after the wire latency. Named (not a lambda) so callers
+  /// can check at compile time that it stays inline in a SmallFn cell.
+  template <typename F>
+  class NicEvent {
+   public:
+    NicEvent(SimHost* host, std::size_t wire_bytes, F on_arrival)
+        : host_(host),
+          wire_bytes_(wire_bytes),
+          on_arrival_(std::move(on_arrival)) {}
+
+    void operator()() {
+      SimHost& h = *host_;
+      const Nanos serialize{static_cast<std::int64_t>(
+          static_cast<double>(wire_bytes_) / h.profile_->nic_bytes_per_ns)};
+      const Nanos start = std::max(h.engine_->now(), h.tx_free_);
+      h.tx_free_ = start + serialize;
+      h.engine_->schedule_at(h.tx_free_ + h.profile_->wire_latency,
+                             std::move(on_arrival_));
+    }
+
+   private:
+    SimHost* host_;
+    std::size_t wire_bytes_;
+    F on_arrival_;
+  };
 
   /// Send a message of `payload_bytes`: charges send CPU (plus
   /// `extra_cpu`, e.g. per-rule routing work), serializes on the NIC,
@@ -51,25 +81,16 @@ class SimHost {
         make_nic_event(payload_bytes, std::forward<F>(on_arrival)));
   }
 
-  /// Fan out `count` messages of identical `payload_bytes` in one batched
-  /// engine insert. Exactly equivalent to calling send() `count` times in
-  /// index order — same accounting, same event times, same FIFO ordering —
-  /// but the per-message CPU-completion events enter the engine through
-  /// one schedule_batch call instead of `count` heap pushes.
-  /// `make_on_arrival(i)` is invoked synchronously for i in [0, count).
+  /// Fan out `count` messages of identical `payload_bytes`: exactly
+  /// send() `count` times in index order — same accounting, same event
+  /// times, same FIFO ordering. `make_on_arrival(i)` is invoked
+  /// synchronously for i in [0, count).
   template <typename MakeArrival>
   void broadcast(std::size_t count, std::size_t payload_bytes,
                  MakeArrival&& make_on_arrival, Nanos extra_cpu = Nanos{0}) {
-    batch_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      const Nanos cpu_cost = charge_send(payload_bytes, extra_cpu);
-      const Nanos start = std::max(engine_->now(), cpu_free_);
-      cpu_free_ = start + cpu_cost;
-      busy_ns_ += cpu_cost.count();
-      batch_.push_back(Engine::TimedEvent{
-          cpu_free_, make_nic_event(payload_bytes, make_on_arrival(i))});
+      send(payload_bytes, make_on_arrival(i), extra_cpu);
     }
-    engine_->schedule_batch(batch_);
   }
 
   /// Account an inbound message and run `fn` after the receive CPU cost.
@@ -108,21 +129,11 @@ class SimHost {
                profile_->cpu_send_per_byte_ns)};
   }
 
-  /// The NIC-serialization continuation shared by send() and broadcast():
-  /// occupies the transmit link for size/bandwidth, then schedules
-  /// `on_arrival` after the wire latency.
   template <typename F>
-  auto make_nic_event(std::size_t payload_bytes, F&& on_arrival) {
-    const std::size_t wire_bytes = payload_bytes + profile_->msg_overhead_bytes;
-    return [this, wire_bytes,
-            on_arrival = std::forward<F>(on_arrival)]() mutable {
-      const Nanos serialize{static_cast<std::int64_t>(
-          static_cast<double>(wire_bytes) / profile_->nic_bytes_per_ns)};
-      const Nanos start = std::max(engine_->now(), tx_free_);
-      tx_free_ = start + serialize;
-      engine_->schedule_at(tx_free_ + profile_->wire_latency,
-                           std::move(on_arrival));
-    };
+  NicEvent<std::decay_t<F>> make_nic_event(std::size_t payload_bytes,
+                                           F&& on_arrival) {
+    return {this, payload_bytes + profile_->msg_overhead_bytes,
+            std::forward<F>(on_arrival)};
   }
 
   Engine* engine_;
@@ -131,7 +142,6 @@ class SimHost {
 
   Nanos cpu_free_{0};
   Nanos tx_free_{0};
-  std::vector<Engine::TimedEvent> batch_;  // broadcast scratch, reused
   std::int64_t busy_ns_ = 0;
   std::uint64_t bytes_tx_ = 0;
   std::uint64_t bytes_rx_ = 0;

@@ -35,6 +35,26 @@ TEST(SmallFnTest, InvokesHeapClosure) {
   EXPECT_EQ(observed, 42);
 }
 
+// The inline/heap boundary the simulator's compile-time guards rely on:
+// a capture of exactly kSmallFnInlineBytes stays inline, one byte more
+// spills, and so does a capture that cannot be moved without throwing.
+struct ExactFit {
+  std::array<std::byte, kSmallFnInlineBytes> bytes;
+  void operator()() {}
+};
+struct OneByteOver {
+  std::array<std::byte, kSmallFnInlineBytes + 1> bytes;
+  void operator()() {}
+};
+struct ThrowingMove {
+  ThrowingMove() = default;
+  ThrowingMove(ThrowingMove&&) noexcept(false) {}
+  void operator()() {}
+};
+static_assert(SmallFn::kStoresInline<ExactFit>);
+static_assert(!SmallFn::kStoresInline<OneByteOver>);
+static_assert(!SmallFn::kStoresInline<ThrowingMove>);
+
 TEST(SmallFnTest, MoveTransfersInlineTarget) {
   int calls = 0;
   SmallFn a = [&calls] { ++calls; };

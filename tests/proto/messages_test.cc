@@ -112,6 +112,18 @@ TEST(MessagesTest, EnforceBatchRoundTrip) {
   expect_roundtrip(batch);
 }
 
+TEST(MessagesTest, EnforceBatchSizesWithoutBuilding) {
+  const Rule rule{StageId{70000}, JobId{3}, 100.0, 10.0, 300};
+  EnforceBatch one;
+  one.cycle_id = 1u << 20;
+  one.rules.push_back(rule);
+  EXPECT_EQ(
+      EnforceBatch::wire_size(one.cycle_id, std::span<const Rule>(&rule, 1)),
+      one.wire_size());
+  const EnforceBatch empty{7, {}};
+  EXPECT_EQ(EnforceBatch::wire_size(7, {}), empty.wire_size());
+}
+
 TEST(MessagesTest, EnforceAckRoundTrip) { expect_roundtrip(EnforceAck{55, 64}); }
 
 TEST(MessagesTest, HeartbeatRoundTrip) {

@@ -148,14 +148,15 @@ TEST(EngineTest, OverflowMigrationPreservesTiesWithWheelEvents) {
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
-TEST(EngineTest, RandomizedOrderMatchesStableSortReference) {
-  // Deterministic pseudo-random times spanning active bucket, wheel, and
-  // overflow; execution order must equal a stable sort by time.
+/// Schedule `count` events at deterministic pseudo-random times spanning
+/// the active bucket, the wheel and the overflow heap; execution order
+/// must equal a stable sort by time.
+void expect_stable_sort_order(int count) {
   Engine engine;
   std::vector<std::pair<std::int64_t, int>> reference;
   std::vector<int> order;
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (int i = 0; i < 5000; ++i) {
+  for (int i = 0; i < count; ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     // Mix of ns-scale (active), µs-scale (wheel), and ms/s-scale (overflow).
     const std::int64_t at = static_cast<std::int64_t>(
@@ -169,6 +170,70 @@ TEST(EngineTest, RandomizedOrderMatchesStableSortReference) {
   ASSERT_EQ(order.size(), reference.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], reference[i].second) << "at position " << i;
+  }
+}
+
+TEST(EngineTest, RandomizedOrderMatchesStableSortReference) {
+  expect_stable_sort_order(5000);
+}
+
+// -- Slab chunks: closures live in fixed chunks of kChunkCells cells.
+
+TEST(EngineTest, StableSortOrderHoldsAcrossManyChunks) {
+  constexpr int kCount = 3 * static_cast<int>(Engine::kChunkCells) + 123;
+  expect_stable_sort_order(kCount);
+}
+
+TEST(EngineTest, ClosureGrowingTheSlabKeepsItsCaptures) {
+  // A running closure schedules more than a chunk of events, so the slab
+  // grows (new chunks) underneath it; its own cell must not move, and
+  // its captures must read back intact afterwards.
+  Engine engine;
+  constexpr int kFanout = static_cast<int>(Engine::kChunkCells) + 500;
+  const std::uint64_t a = 0x0123456789abcdefull;
+  const std::uint64_t b = 0xfedcba9876543210ull;
+  std::uint64_t seen_a = 0;
+  std::uint64_t seen_b = 0;
+  int ran = 0;
+  engine.schedule_at(micros(1), [&, a, b] {
+    for (int i = 0; i < kFanout; ++i) {
+      engine.schedule_in(Nanos{i}, [&ran] { ++ran; });
+    }
+    seen_a = a;  // read after the slab grew
+    seen_b = b;
+  });
+  engine.run();
+  EXPECT_EQ(seen_a, a);
+  EXPECT_EQ(seen_b, b);
+  EXPECT_EQ(ran, kFanout);
+  EXPECT_GT(engine.slab_cells(), Engine::kChunkCells);
+}
+
+TEST(EngineTest, FreedSlotsAreReusedAcrossChunkBoundary) {
+  // Two waves of the same size, each spanning two chunks: the second
+  // wave must fit entirely in cells the first one freed.
+  Engine engine;
+  constexpr int kWave = static_cast<int>(Engine::kChunkCells) + 700;
+  std::vector<int> order;
+  order.reserve(2 * kWave);
+  for (int i = 0; i < kWave; ++i) {
+    engine.schedule_at(micros(1 + i % 50), [&order, i] { order.push_back(i); });
+  }
+  engine.run();
+  const std::size_t high_water = engine.slab_cells();
+  EXPECT_EQ(high_water, static_cast<std::size_t>(kWave));
+  for (int i = 0; i < kWave; ++i) {
+    engine.schedule_at(engine.now() + micros(1 + i % 50),
+                       [&order, i] { order.push_back(kWave + i); });
+  }
+  engine.run();
+  EXPECT_EQ(engine.slab_cells(), high_water);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(2 * kWave));
+  // Reused cells run their new closures, each exactly once.
+  std::vector<int> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (int i = 0; i < 2 * kWave; ++i) {
+    EXPECT_EQ(sorted[static_cast<std::size_t>(i)], i);
   }
 }
 
