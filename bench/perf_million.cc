@@ -13,6 +13,9 @@
 //                                     cycles at 100k stages (50 aggs ×
 //                                     2000) with delta collect frames,
 //                                     plus the full-recompute A/B.
+//                                     Its events_per_sec counts engine
+//                                     events, two per modeled message;
+//                                     compare cycles/s across commits.
 //
 // Every section repeats `--reps=N` times (default 3); BENCH_million.json
 // (cwd, or $SDSCALE_BENCH_OUT/…) gives each timed metric's median, min

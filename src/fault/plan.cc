@@ -402,6 +402,53 @@ Nanos CompiledPlan::last_stage_restart_before(std::size_t stage,
   return it == intervals.begin() ? Nanos{-1} : std::prev(it)->until;
 }
 
+OutageCursor::OutageCursor(const CompiledPlan& plan, Tier tier)
+    : plan_(&plan),
+      tier_(tier),
+      windows_(tier == Tier::kStage ? plan.num_stages()
+                                    : plan.num_aggregators()) {}
+
+// sdslint: hotpath
+void OutageCursor::seek(std::size_t entity, Nanos t, Window& w) const {
+  const std::span<const DownInterval> intervals =
+      tier_ == Tier::kStage ? plan_->stage_outages(entity)
+                            : plan_->aggregator_outages(entity);
+  // The outages started by `t` are a prefix [0, k). Moving forward, the
+  // ones started by the window's end are already known to be in it.
+  const auto first = t >= w.until ? intervals.begin() + w.next
+                                  : intervals.begin();
+  const auto it = std::upper_bound(
+      first, intervals.end(), t,
+      [](Nanos value, const DownInterval& iv) { return value < iv.from; });
+  const auto k = static_cast<std::size_t>(it - intervals.begin());
+  w.next = static_cast<std::uint32_t>(k);
+  if (k == 0) {
+    w.from = Nanos{std::numeric_limits<std::int64_t>::min()};
+    w.until = intervals.empty() ? CompiledPlan::kNever : intervals[0].from;
+    w.last_restart = Nanos{-1};
+    w.up = true;
+    return;
+  }
+  // Merged outages are disjoint with gaps between them, so only the last
+  // one started can cover `t`, and the one before it ended in the past.
+  const DownInterval& last = intervals[k - 1];
+  const Nanos restart_before_last = k >= 2 ? intervals[k - 2].until : Nanos{-1};
+  if (t < last.until) {
+    w.from = last.from;
+    w.until = last.until;
+    w.last_restart = restart_before_last;
+    w.up = false;
+    return;
+  }
+  w.from = last.until;
+  w.until = k < intervals.size() ? intervals[k].from : CompiledPlan::kNever;
+  // A permanent outage never restarts (t == kNever is its only "after").
+  w.last_restart =
+      last.until == CompiledPlan::kNever ? restart_before_last : last.until;
+  w.up = true;
+}
+// sdslint: end-hotpath
+
 std::size_t CompiledPlan::quorum_count(std::size_t expected) const {
   if (expected == 0) return 0;
   const auto count =

@@ -270,4 +270,61 @@ class CompiledPlan {
   std::size_t total_outages_ = 0;
 };
 
+/// Outage state of one tier of a CompiledPlan, answered in O(1) for a
+/// caller whose query times mostly move forward (the simulator asks at
+/// its monotone virtual clock). Each entity keeps one dense 32-byte
+/// window: the stretch of time around its last query over which up() and
+/// last_restart_before() are constant. A query inside the window reads
+/// only that record; a later one goes back to the entity's timeline from
+/// where the window left off, an earlier one re-seeks the whole timeline
+/// with a binary search. Answers therefore equal CompiledPlan's for any
+/// query order. The cursor is mutable state over an immutable plan,
+/// which must outlive it; the plan itself stays state-free.
+class OutageCursor {
+ public:
+  enum class Tier : std::uint8_t { kStage, kAggregator };
+
+  OutageCursor() = default;
+  OutageCursor(const CompiledPlan& plan, Tier tier);
+
+  // sdslint: hotpath
+  /// == CompiledPlan::stage_up / aggregator_up for this tier.
+  [[nodiscard]] bool up(std::size_t entity, Nanos t) {
+    return entity >= windows_.size() || window(entity, t).up;
+  }
+
+  /// == CompiledPlan::last_stage_restart_before for this tier: the latest
+  /// outage end at or before `t`, Nanos{-1} when there is none.
+  [[nodiscard]] Nanos last_restart_before(std::size_t entity, Nanos t) {
+    return entity >= windows_.size() ? Nanos{-1}
+                                     : window(entity, t).last_restart;
+  }
+  // sdslint: end-hotpath
+
+ private:
+  /// [from, until): the answers hold for every t in it. `next` indexes
+  /// the first outage starting after the window.
+  struct Window {
+    Nanos from{0};
+    Nanos until{0};  // from == until: empty, the first query seeks
+    Nanos last_restart{-1};
+    std::uint32_t next = 0;
+    bool up = true;
+  };
+  static_assert(sizeof(Window) == 32);
+
+  // sdslint: hotpath
+  const Window& window(std::size_t entity, Nanos t) {
+    Window& w = windows_[entity];
+    if (t < w.from || t >= w.until) seek(entity, t, w);
+    return w;
+  }
+  // sdslint: end-hotpath
+  void seek(std::size_t entity, Nanos t, Window& w) const;
+
+  const CompiledPlan* plan_ = nullptr;
+  Tier tier_ = Tier::kStage;
+  std::vector<Window> windows_;
+};
+
 }  // namespace sds::fault

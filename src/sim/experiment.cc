@@ -33,23 +33,15 @@ Nanos scaled(Nanos per_item, std::size_t count) {
   return Nanos{per_item.count() * static_cast<std::int64_t>(count)};
 }
 
-// Compile-time guards for the per-stage paths. A closure that does not
+// Compile-time guard for the per-stage paths. A closure that does not
 // fit SmallFn's inline buffer costs one heap allocation per stage per
-// cycle, so on these paths it fails the build instead. `inline_event`
-// checks a closure handed to the engine or to SimHost::run/receive;
-// `inline_send` checks one handed to SimHost::send/broadcast, which
-// wraps it in the NIC continuation first.
+// cycle, so on these paths it fails the build instead. It checks a
+// closure handed to the engine or to SimHost::run/receive/send/broadcast,
+// each of which puts the closure itself into its engine cell.
 template <typename F>
 F&& inline_event(F&& fn) {
   static_assert(SmallFn::kStoresInline<std::decay_t<F>>,
                 "per-stage closure spills out of SmallFn's inline buffer");
-  return std::forward<F>(fn);
-}
-
-template <typename F>
-F&& inline_send(F&& fn) {
-  static_assert(SmallFn::kStoresInline<SimHost::NicEvent<std::decay_t<F>>>,
-                "per-stage send closure spills out of SmallFn's inline buffer");
   return std::forward<F>(fn);
 }
 
@@ -266,14 +258,19 @@ class Run {
       fault_ = std::make_unique<fault::CompiledPlan>(fault::CompiledPlan::compile(
           *cfg_.fault_plan, cfg_.num_stages, cfg_.num_aggregators,
           cfg_.duration * 2));
+      stage_outages_ = fault::OutageCursor(*fault_,
+                                           fault::OutageCursor::Tier::kStage);
+      agg_outages_ = fault::OutageCursor(
+          *fault_, fault::OutageCursor::Tier::kAggregator);
       last_fresh_at_.assign(cfg_.num_stages, Nanos{-1});
     }
     // The store path keeps the legacy batch pipeline for the modes that
     // need per-cycle scratch vectors anyway (degraded compaction,
     // pass-through relays, local decisions, coordinated exchange).
-    store_collect_ = cfg_.store_collect && fault_ == nullptr &&
-                     !coordinated() &&
-                     (flat() || (cfg_.preaggregate && !cfg_.local_decisions));
+    if (cfg_.store_collect) {
+      collect_fallback_reason_ = store_fallback_reason();
+      store_collect_ = collect_fallback_reason_.empty();
+    }
     delta_collect_ = cfg_.delta_collect && store_collect_;
     build_topology();
     if (cfg_.utilization_sample_interval > Nanos{0}) {
@@ -292,6 +289,16 @@ class Run {
   }
   [[nodiscard]] bool flat() const {
     return cfg_.num_aggregators == 0 && !coordinated();
+  }
+
+  /// Why this run cannot take the store path (empty when it can).
+  [[nodiscard]] const char* store_fallback_reason() const {
+    if (fault_ != nullptr) return "fault plan";
+    if (coordinated()) return "coordinated mode";
+    if (flat()) return "";
+    if (!cfg_.preaggregate) return "pass-through mode";
+    if (cfg_.local_decisions) return "local decisions";
+    return "";
   }
 
   [[nodiscard]] std::size_t num_jobs() const {
@@ -624,7 +631,7 @@ class Run {
     for (const auto& rule : rules) {
       peer.host->send(
           enforce_frame_size(cycle_, {&rule, 1}),
-          inline_send([this, p, rule] {
+          inline_event([this, p, rule] {
             apply_rule_and_ack(rule, peers_[p]->host.get(), [this, p](Nanos) {
               if (--peers_[p]->pending_acks == 0) peer_enforce_done(p);
             });
@@ -660,10 +667,13 @@ class Run {
   //
   // Callable only when fault_ is set (except stage_latency, which is the
   // healthy constant otherwise). Every injection bumps faults_injected_.
+  // They run per stage per message, so up/restart lookups go through the
+  // O(1) outage cursors.
 
+  // sdslint: hotpath
   /// Stage can emit/accept messages at `t` (up and not partitioned).
   [[nodiscard]] bool stage_reachable(std::size_t i, Nanos t) {
-    if (fault_->stage_up(i, t) && !fault_->partitioned(i, t)) return true;
+    if (stage_outages_.up(i, t) && !fault_->partitioned(i, t)) return true;
     ++faults_injected_;
     return false;
   }
@@ -712,12 +722,13 @@ class Run {
   /// stage `i` at `t`: if the stage restarted since its last fresh reply,
   /// the restart-to-now gap is one recovery sample.
   void note_fresh_reply(std::size_t i, Nanos t, std::vector<Nanos>& sink) {
-    const Nanos restart = fault_->last_stage_restart_before(i, t);
+    const Nanos restart = stage_outages_.last_restart_before(i, t);
     if (restart.count() >= 0 && last_fresh_at_[i] < restart) {
       sink.push_back(t - restart);
     }
     last_fresh_at_[i] = t;
   }
+  // sdslint: end-hotpath
 
   // -- Flat design -----------------------------------------------------
 
@@ -759,7 +770,7 @@ class Run {
     }
     global_host_.broadcast(
         cfg_.num_stages, collect_req_size_, [this](std::size_t i) {
-          return inline_send([this, i] { on_stage_collect_flat(i); });
+          return inline_event([this, i] { on_stage_collect_flat(i); });
         });
   }
 
@@ -921,7 +932,7 @@ class Run {
     for (const auto& rule : compute_view_->rules) {
       global_host_.send(
           enforce_frame_size(cycle_, {&rule, 1}),
-          inline_send([this, rule, c = cycle_] {
+          inline_event([this, rule, c = cycle_] {
             apply_rule_and_ack(rule, &global_host_, [this, c](Nanos at) {
               on_global_direct_ack(c, at);
             });
@@ -1124,7 +1135,7 @@ class Run {
   void agg_collect_fanout(std::size_t a) {
     if (fault_ != nullptr) {
       Agg& agg = *aggs_[a];
-      if (!fault_->aggregator_up(a, eng_.now())) {
+      if (!agg_outages_.up(a, eng_.now())) {
         // Crashed aggregator: the whole subtree stays silent this cycle;
         // the global report deadline counts its stages stale.
         ++faults_injected_;
@@ -1148,7 +1159,7 @@ class Run {
     aggs_[a]->host->broadcast(indices.size(), collect_req_size_, [&](std::size_t i) {
       const auto idx = static_cast<std::uint32_t>(indices[i]);
       const auto slot = static_cast<std::uint32_t>(i);
-      return inline_send([this, agg_index, slot, idx] {
+      return inline_event([this, agg_index, slot, idx] {
         on_stage_collect_hier(agg_index, slot, idx);
       });
     });
@@ -1275,7 +1286,7 @@ class Run {
         Nanos extra{0};
         std::size_t copies = 1;
         if (fault_ != nullptr) {
-          if (!fault_->aggregator_up(a, eng_.now())) {
+          if (!agg_outages_.up(a, eng_.now())) {
             // Aggregator died after collecting: report lost; the global
             // report deadline counts the subtree stale.
             ++faults_injected_;
@@ -1543,7 +1554,7 @@ class Run {
     global_host_.send(
         sz,
         [this, a, sz] {
-          if (fault_ != nullptr && !fault_->aggregator_up(a, eng_.now())) {
+          if (fault_ != nullptr && !agg_outages_.up(a, eng_.now())) {
             // Crashed aggregator: its subtree's rules are lost; the
             // global ack deadline closes the cycle degraded.
             ++faults_injected_;
@@ -1597,7 +1608,7 @@ class Run {
   void send_rule_from_agg(std::size_t a, const proto::Rule& rule) {
     aggs_[a]->host->send(
         enforce_frame_size(cycle_, {&rule, 1}),
-        inline_send([this, a, rule, c = cycle_] {
+        inline_event([this, a, rule, c = cycle_] {
           apply_rule_and_ack(
               rule, aggs_[a]->host.get(), [this, a, c](Nanos applied_at) {
                 Agg& agg = *aggs_[a];
@@ -1671,7 +1682,7 @@ class Run {
     if (fault_ != nullptr) {
       short_acked =
           agg.enforce_expected > 0 && agg.acks_applied < agg.enforce_expected;
-      if (!fault_->aggregator_up(a, eng_.now())) {
+      if (!agg_outages_.up(a, eng_.now())) {
         ++faults_injected_;
         return;  // merged ack lost; the global ack deadline closes
       }
@@ -1881,6 +1892,10 @@ class Run {
     result.collect_wire_bytes_full = collect_wire_bytes_full_;
     result.collect_frames_full = collect_frames_full_;
     result.collect_frames_delta = collect_frames_delta_;
+    result.collect_pipeline =
+        store_collect_ ? CollectPipeline::kStore : CollectPipeline::kBatch;
+    result.delta_collect = delta_collect_;
+    result.collect_fallback_reason = collect_fallback_reason_;
     if (fault_ != nullptr) {
       result.degraded_cycles = stats_.degraded_cycles();
       result.stale_stage_reports = stats_.stale_stages();
@@ -2077,6 +2092,8 @@ class Run {
   /// that keep the legacy pipeline; resolved in execute()).
   bool store_collect_ = false;
   bool delta_collect_ = false;
+  /// Why store_collect was requested but not taken (empty otherwise).
+  std::string collect_fallback_reason_;
   std::vector<std::unique_ptr<Agg>> aggs_;
   std::vector<std::unique_ptr<Super>> supers_;
   std::vector<std::unique_ptr<Peer>> peers_;
@@ -2137,6 +2154,9 @@ class Run {
 
   // -- Fault-injection state (unallocated without a plan) ---------------
   std::unique_ptr<fault::CompiledPlan> fault_;
+  /// O(1) up/restart lookups over fault_'s timelines at the virtual clock.
+  fault::OutageCursor stage_outages_;
+  fault::OutageCursor agg_outages_;
   std::uint64_t faults_injected_ = 0;
   /// Virtual time of the last accepted collect reply per stage, for
   /// recovery accounting. Nanos{-1} = never.

@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -81,10 +82,11 @@ struct ExperimentConfig {
   /// AggregatorCore::aggregate_from_store at each aggregator). Rules are
   /// bit-identical to the batch path on the flat topology; hierarchical
   /// summaries are store-slot-ordered instead of arrival-ordered, which
-  /// only perturbs last-bit FP rounding. Silently falls back to the
-  /// legacy batch path under a fault plan (degraded cycles need the
-  /// received-only compaction), in coordinated mode, in pass-through
-  /// mode and with local decisions.
+  /// only perturbs last-bit FP rounding. Falls back to the legacy batch
+  /// path under a fault plan (degraded cycles need the received-only
+  /// compaction), in coordinated mode, in pass-through mode and with
+  /// local decisions; ExperimentResult::collect_pipeline and
+  /// collect_fallback_reason say which path ran and why.
   bool store_collect = true;
   /// Ablation: force the store-backed compute to rebuild every job from
   /// scratch each cycle. Identical decisions, none of the incremental
@@ -144,6 +146,10 @@ struct ExperimentConfig {
   /// runs share one registry (exported as `configuration="<label>"`).
   std::string telemetry_label;
 };
+
+/// The collect pipeline a run used: the columnar store path or the
+/// legacy per-cycle batch path (see ExperimentConfig::store_collect).
+enum class CollectPipeline : std::uint8_t { kStore, kBatch };
 
 /// One controller's resource usage in the units of Tables II–IV.
 struct ControllerUsage {
@@ -209,6 +215,15 @@ struct ExperimentResult {
   std::uint64_t collect_wire_bytes_full = 0;
   std::uint64_t collect_frames_full = 0;
   std::uint64_t collect_frames_delta = 0;
+  // -- Which collect pipeline actually ran --------------------------------
+  CollectPipeline collect_pipeline = CollectPipeline::kBatch;
+  /// Delta-encoded collect frames were on (delta_collect requested and the
+  /// store path ran).
+  bool delta_collect = false;
+  /// Why the batch path ran although store_collect was requested (a fault
+  /// plan, coordinated mode, pass-through mode, local decisions); empty
+  /// when the requested pipeline ran.
+  std::string collect_fallback_reason;
 };
 
 /// Run one configuration. Fails with kResourceExhausted when a topology

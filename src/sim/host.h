@@ -7,6 +7,16 @@
 //   * Outbound messages first cost CPU (build/serialize), then occupy the
 //     NIC for size/bandwidth, then arrive after the wire latency.
 //   * Inbound messages cost CPU on receive before their handler runs.
+//
+// A message therefore costs two engine events: its arrival, and the
+// receiver's CPU completion. The sender's CPU and NIC stages need no
+// event of their own. The CPU is FIFO, so sends finish their CPU work in
+// call order and reach the NIC in call order; the NIC is FIFO as well.
+// When send() is called, every earlier send has already advanced
+// `tx_free_`, and no later one can, so the transmit start
+// max(cpu_done, tx_free_) is the same number an event at cpu_done would
+// compute. Only the engine sequence number of the arrival differs, which
+// orders it differently against unrelated events at the same instant.
 #pragma once
 
 #include <algorithm>
@@ -31,55 +41,29 @@ class SimHost {
   /// cell, with no intermediate EventFn to relocate.
   template <typename F>
   void run(Nanos cpu_cost, F&& fn) {
-    const Nanos start = std::max(engine_->now(), cpu_free_);
-    cpu_free_ = start + cpu_cost;
-    busy_ns_ += cpu_cost.count();
-    engine_->schedule_at(cpu_free_, std::forward<F>(fn));
+    engine_->schedule_at(occupy_cpu(cpu_cost), std::forward<F>(fn));
   }
 
-  /// The NIC-serialization continuation shared by send() and broadcast():
-  /// occupies the transmit link for size/bandwidth, then schedules
-  /// `on_arrival` after the wire latency. Named (not a lambda) so callers
-  /// can check at compile time that it stays inline in a SmallFn cell.
-  template <typename F>
-  class NicEvent {
-   public:
-    NicEvent(SimHost* host, std::size_t wire_bytes, F on_arrival)
-        : host_(host),
-          wire_bytes_(wire_bytes),
-          on_arrival_(std::move(on_arrival)) {}
-
-    void operator()() {
-      SimHost& h = *host_;
-      const Nanos serialize{static_cast<std::int64_t>(
-          static_cast<double>(wire_bytes_) / h.profile_->nic_bytes_per_ns)};
-      const Nanos start = std::max(h.engine_->now(), h.tx_free_);
-      h.tx_free_ = start + serialize;
-      h.engine_->schedule_at(h.tx_free_ + h.profile_->wire_latency,
-                             std::move(on_arrival_));
-    }
-
-   private:
-    SimHost* host_;
-    std::size_t wire_bytes_;
-    F on_arrival_;
-  };
-
+  // sdslint: hotpath
   /// Send a message of `payload_bytes`: charges send CPU (plus
   /// `extra_cpu`, e.g. per-rule routing work), serializes on the NIC,
   /// then invokes `on_arrival` at the destination time. The receiver is
   /// responsible for charging its own receive cost (use `receive` in the
   /// continuation).
-  ///
-  /// Templated on the arrival callable so the NIC continuation captures
-  /// the raw closure (not a type-erased EventFn) — the common small
-  /// captures then stay within SmallFn's inline buffer end to end.
+  /// The arrival is the only engine event (see the header comment), and
+  /// the raw closure goes straight into its cell.
   template <typename F>
   void send(std::size_t payload_bytes, F&& on_arrival,
             Nanos extra_cpu = Nanos{0}) {
-    run(charge_send(payload_bytes, extra_cpu),
-        make_nic_event(payload_bytes, std::forward<F>(on_arrival)));
+    const Nanos cpu_done = occupy_cpu(charge_send(payload_bytes, extra_cpu));
+    const Nanos serialize{static_cast<std::int64_t>(
+        static_cast<double>(payload_bytes + profile_->msg_overhead_bytes) /
+        profile_->nic_bytes_per_ns)};
+    tx_free_ = std::max(cpu_done, tx_free_) + serialize;
+    engine_->schedule_at(tx_free_ + profile_->wire_latency,
+                         std::forward<F>(on_arrival));
   }
+  // sdslint: end-hotpath
 
   /// Fan out `count` messages of identical `payload_bytes`: exactly
   /// send() `count` times in index order — same accounting, same event
@@ -129,11 +113,12 @@ class SimHost {
                profile_->cpu_send_per_byte_ns)};
   }
 
-  template <typename F>
-  NicEvent<std::decay_t<F>> make_nic_event(std::size_t payload_bytes,
-                                           F&& on_arrival) {
-    return {this, payload_bytes + profile_->msg_overhead_bytes,
-            std::forward<F>(on_arrival)};
+  /// Queue `cpu_cost` of work behind the host's earlier CPU work and
+  /// return the instant it completes.
+  Nanos occupy_cpu(Nanos cpu_cost) {
+    cpu_free_ = std::max(engine_->now(), cpu_free_) + cpu_cost;
+    busy_ns_ += cpu_cost.count();
+    return cpu_free_;
   }
 
   Engine* engine_;

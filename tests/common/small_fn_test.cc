@@ -137,8 +137,9 @@ TEST(SmallFnTest, AcceptsLvalueStdFunction) {
 }
 
 TEST(SmallFnTest, NestedSmallFnStaysFunctional) {
-  // SimHost::send wraps an arrival continuation inside the NIC closure;
-  // SmallFn must nest (possibly via the heap path) without slicing.
+  // A closure may carry another SmallFn as a capture (a continuation
+  // inside a continuation); SmallFn must nest (possibly via the heap
+  // path) without slicing.
   int observed = 0;
   SmallFn inner = [&observed] { observed = 11; };
   SmallFn outer = [inner = std::move(inner)]() mutable { inner(); };

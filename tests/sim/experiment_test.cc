@@ -1,6 +1,10 @@
 #include "sim/experiment.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "fault/plan.h"
 
 namespace sds::sim {
 namespace {
@@ -541,6 +545,87 @@ TEST(StoreCollectTest, ActivityThresholdStillRespectsBudget) {
   ASSERT_TRUE(result.is_ok());
   EXPECT_LE(result->final_data_limit_sum, 20'000.0 * 1.001);
   EXPECT_GE(result->final_data_limit_sum, 20'000.0 * 0.90);
+}
+
+// ExperimentResult reports the collect pipeline that actually ran, and
+// why the store path fell back to the batch path when it did.
+
+void expect_pipeline(const ExperimentConfig& config, CollectPipeline want,
+                     bool delta, const std::string& reason) {
+  const auto result = run_experiment(config);
+  ASSERT_TRUE(result.is_ok()) << result.status();
+  EXPECT_EQ(result->collect_pipeline, want);
+  EXPECT_EQ(result->delta_collect, delta);
+  EXPECT_EQ(result->collect_fallback_reason, reason);
+}
+
+TEST(CollectPipelineTest, StorePathRunsWhenRequested) {
+  ExperimentConfig flat = quick(40);
+  flat.max_cycles = 2;
+  expect_pipeline(flat, CollectPipeline::kStore, false, "");
+  ExperimentConfig hier = quick(40, 2);
+  hier.max_cycles = 2;
+  expect_pipeline(hier, CollectPipeline::kStore, false, "");
+  ExperimentConfig deep = quick(40, 4);
+  deep.num_super_aggregators = 2;
+  deep.max_cycles = 2;
+  expect_pipeline(deep, CollectPipeline::kStore, false, "");
+}
+
+TEST(CollectPipelineTest, DeltaCollectReportedOn) {
+  ExperimentConfig flat = quick(40);
+  flat.max_cycles = 2;
+  flat.delta_collect = true;
+  expect_pipeline(flat, CollectPipeline::kStore, true, "");
+  ExperimentConfig hier = quick(40, 2);
+  hier.max_cycles = 2;
+  hier.delta_collect = true;
+  expect_pipeline(hier, CollectPipeline::kStore, true, "");
+}
+
+TEST(CollectPipelineTest, BatchRequestedIsNoFallback) {
+  ExperimentConfig config = quick(40);
+  config.max_cycles = 2;
+  config.store_collect = false;
+  expect_pipeline(config, CollectPipeline::kBatch, false, "");
+}
+
+TEST(CollectPipelineTest, FaultPlanFallsBackToBatch) {
+  fault::FaultPlan plan;
+  plan.crash_stage(3, millis(1), millis(2));
+  ExperimentConfig flat = quick(40);
+  flat.max_cycles = 2;
+  flat.fault_plan = &plan;
+  expect_pipeline(flat, CollectPipeline::kBatch, false, "fault plan");
+  ExperimentConfig hier = quick(40, 2);
+  hier.max_cycles = 2;
+  hier.fault_plan = &plan;
+  expect_pipeline(hier, CollectPipeline::kBatch, false, "fault plan");
+  // An empty plan injects nothing and keeps the store path.
+  const fault::FaultPlan empty;
+  flat.fault_plan = &empty;
+  expect_pipeline(flat, CollectPipeline::kStore, false, "");
+}
+
+TEST(CollectPipelineTest, CoordinatedFallsBackToBatch) {
+  ExperimentConfig config = quick(40);
+  config.coordinated_peers = 2;
+  config.max_cycles = 2;
+  expect_pipeline(config, CollectPipeline::kBatch, false, "coordinated mode");
+}
+
+TEST(CollectPipelineTest, PassthroughFallsBackToBatch) {
+  ExperimentConfig config = quick(40, 2);
+  config.preaggregate = false;
+  config.max_cycles = 2;
+  expect_pipeline(config, CollectPipeline::kBatch, false, "pass-through mode");
+}
+
+TEST(CollectPipelineTest, LocalDecisionsFallBackToBatch) {
+  ExperimentConfig config = quick(40, 2);
+  config.local_decisions = true;
+  config.max_cycles = 2;
+  expect_pipeline(config, CollectPipeline::kBatch, false, "local decisions");
 }
 
 struct ScaleCase {
