@@ -58,7 +58,9 @@ void append_usage(std::ostringstream& out, const ControllerUsage& u) {
 std::string fingerprint(const ExperimentResult& r) {
   std::ostringstream out;
   append_hist(out, r.stats.collect());
+  append_hist(out, r.stats.aggregate());
   append_hist(out, r.stats.compute());
+  append_hist(out, r.stats.disseminate());
   append_hist(out, r.stats.enforce());
   append_hist(out, r.stats.total());
   out << r.cycles << ';' << r.elapsed.count() << ';';
@@ -119,6 +121,8 @@ const fault::FaultPlan& busy_plan() {
 enum class Variant {
   kPlain,
   kLocalDecisions,
+  kPassthrough,
+  kSerialFanout,
   kDeltaCollect,
   kFaults,
   kPeriodicSampled,
@@ -194,6 +198,12 @@ ExperimentConfig make_config(const Case& c, std::uint64_t seed) {
     case Variant::kLocalDecisions:
       config.local_decisions = true;
       break;
+    case Variant::kPassthrough:
+      config.preaggregate = false;
+      break;
+    case Variant::kSerialFanout:
+      config.parallel_fanout = false;
+      break;
     case Variant::kDeltaCollect:
       config.delta_collect = true;
       config.delta_refresh = 8;  // several refresh waves within 12 cycles
@@ -226,31 +236,35 @@ ExperimentConfig make_config(const Case& c, std::uint64_t seed) {
 
 constexpr Case kCases[] = {
     {"flat", 120, 0, 0, 0, Variant::kPlain,
-     {0xc9f8e3da65018ee7, 8688}, {0xa8311ca2b424b285, 8688}},
+     {0x2159d48643bb9388, 8688}, {0xf354d8e3f66705e2, 8688}},
     {"hier", 250, 7, 0, 0, Variant::kPlain,
-     {0xa428ae7199ea4de8, 18804}, {0xd1a8a06494322a39, 18804}},
+     {0x364b6fe29047498f, 18804}, {0xd4e8a4682431df16, 18804}},
     {"deep", 200, 8, 2, 0, Variant::kPlain,
-     {0xc7e9bca9f2a26fae, 15528}, {0x117bf18e3220235b, 15528}},
+     {0x8bf66f6328bdf8eb, 15528}, {0xa6b98e353e7eaf36, 15528}},
     {"coordinated", 120, 0, 0, 3, Variant::kPlain,
-     {0xb028ef40f254704c, 8892}, {0xa01f85deb229ed16, 8892}},
+     {0xc5b694b77d62ab1a, 8892}, {0x6d3c4f865abce51c, 8892}},
     {"local-decisions", 250, 7, 0, 0, Variant::kLocalDecisions,
-     {0x106c56efe4701e36, 18888}, {0x4ec535cc6f0cd058, 18888}},
+     {0x57cdfdeed09665a4, 18888}, {0x6a47a74c341ae3ae, 18888}},
+    {"hier-passthrough", 250, 7, 0, 0, Variant::kPassthrough,
+     {0x02a64905e7e7d913, 18804}, {0x1ef685a783e8d50f, 18804}},
+    {"hier-serial", 250, 7, 0, 0, Variant::kSerialFanout,
+     {0x4e7cac45d3473884, 18804}, {0x9af4081bbee4e088, 18804}},
     {"flat-delta", 120, 0, 0, 0, Variant::kDeltaCollect,
-     {0xd013cb1da95b2110, 8688}, {0xe1d2bd38e1b96992, 8688}},
+     {0x1ece89d934686ca3, 8688}, {0xbebf81e7436ef5d9, 8688}},
     {"hier-delta", 250, 7, 0, 0, Variant::kDeltaCollect,
-     {0xeae08201722e9fec, 18804}, {0x32650ea7011baf4f, 18804}},
+     {0x222dece93324229b, 18804}, {0xf86f79aa5cfd6824, 18804}},
     {"flat-faults", 60, 0, 0, 0, Variant::kFaults,
-     {0x34c4e5644e8a522c, 3929}, {0xc64f4dd373b58f05, 3929}},
+     {0x4b557c7a47bcb90e, 3929}, {0x853bac7ca2456bbb, 3929}},
     {"hier-faults", 64, 4, 0, 0, Variant::kFaults,
-     {0xb601d0c81b8bab49, 2999}, {0x5005481a756165cb, 2999}},
+     {0x76826bc6791e3d14, 2999}, {0x3d0ce552b407744e, 2999}},
     {"flat-periodic", 120, 0, 0, 0, Variant::kPeriodicSampled,
-     {0x07083e224d346e11, 8699}, {0x578976877e236190, 8699}},
+     {0x75943f6dd6c7cb86, 8699}, {0x2253f7542d2042a7, 8699}},
     {"coordinated-periodic", 120, 0, 0, 3, Variant::kPeriodicSampled,
-     {0xd0edf5b5273cdd8e, 8892}, {0x779b2b712cc4b732, 8892}},
+     {0xf905361666ae51e4, 8892}, {0x31f69055ef34d070, 8892}},
     {"flat-instant", 120, 0, 0, 0, Variant::kInstantSampled,
-     {0x50a4b1dc0bfbfe65, 8699}, {0x6497f42dcbab2bc9, 8699}},
+     {0x62b7ef718b1f853d, 8699}, {0xa7f9cb14172cfe41, 8699}},
     {"coordinated-instant", 120, 0, 0, 3, Variant::kInstantSampled,
-     {0x5aea5769def685ca, 8892}, {0x0081e5aff268759e, 8892}},
+     {0xad476569eebf7be2, 8892}, {0xb54e385365d0ef56, 8892}},
 };
 
 const Case& case_named(std::string_view name) {
