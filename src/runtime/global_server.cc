@@ -217,9 +217,8 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_cycle() {
   // per-stage frame folded straight into the columnar store, and the
   // incremental PSFA runs over it. Hierarchical/mixed cycles keep the
   // batch pipeline (aggregated summaries never flow through the store).
-  const bool store_cycle = options_.use_metrics_store &&
-                           targets.aggregators.empty() &&
-                           !options_.local_decisions;
+  const bool store_cycle =
+      targets.aggregators.empty() && !options_.local_decisions;
 
   // ---- Collect -------------------------------------------------------
   auto stage_gather = dispatcher_.start_gather(

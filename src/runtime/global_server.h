@@ -53,16 +53,15 @@ struct GlobalServerOptions {
   bool local_decisions = false;
   /// How long each granted lease stays valid.
   Nanos lease_validity = seconds(10);
-  /// Columnar compute path: fold collect replies into a core::MetricsStore
-  /// and run GlobalControllerCore::compute_from_store (incremental PSFA)
-  /// instead of the batch compute. Takes effect on cycles with no
-  /// registered aggregators — the hierarchical path keeps the batch
-  /// pipeline. Decisions are bit-identical to the batch path; a roster
-  /// change (registration, eviction) rebuilds the store bindings before
-  /// the next compute.
-  bool use_metrics_store = true;
+  // The pipeline follows from the cycle: with no registered aggregators
+  // and central decisions, collect replies fold into a core::MetricsStore
+  // and GlobalControllerCore::compute_from_store (incremental PSFA)
+  // decides, bit-identically to the batch compute; a roster change
+  // (registration, eviction) rebuilds the store bindings before the next
+  // compute. Hierarchical, mixed and local-decision cycles keep the batch
+  // pipeline (aggregated summaries never flow through the store).
   /// Accept StageMetricsDelta collect replies and fold them through the
-  /// store (requires use_metrics_store; only sensible when the stage
+  /// store (store-path cycles only; only sensible when the stage
   /// hosts enable delta_metrics). A delta that fails validation —
   /// unknown slot, duplicate/out-of-order cycle, broken base chain
   /// (e.g. after a lost reply or a store rebuild) — is dropped and its

@@ -41,8 +41,8 @@ struct ExperimentConfig {
   /// controller and the aggregators (global → supers → aggregators →
   /// stages). Each super-aggregator relays collects downward, merges its
   /// children's summaries upward, and splits enforce batches per child.
-  /// Requires num_aggregators > 0, pre-aggregation, parallel fan-out and
-  /// central decisions. A deeper tree becomes *necessary* only when the
+  /// Requires num_aggregators > 0 (and no coordinated peers),
+  /// pre-aggregation, parallel fan-out and central decisions. A deeper tree becomes *necessary* only when the
   /// 2-level fan-outs exceed the connection cap (cap² stages); below
   /// that it just adds a hop — which this mode lets you measure.
   std::size_t num_super_aggregators = 0;
@@ -64,6 +64,8 @@ struct ExperimentConfig {
   /// cycle n+1 starts `cycle_period` after cycle n started (or
   /// immediately, if the cycle ran longer than the period).
   Nanos cycle_period = Nanos{0};
+  // The next three settings configure the aggregator tier; the flat and
+  // coordinated topologies have none and reject a non-default value.
   /// Aggregators merge stage metrics into job summaries before
   /// forwarding (ablation for Observation #7 when disabled).
   bool preaggregate = true;
@@ -76,23 +78,18 @@ struct ExperimentConfig {
   core::Budgets budgets{};
   /// PSFA tuning (activity threshold, headroom ramp, probe share).
   policy::PsfaOptions psfa{};
-  /// Columnar collect path: controllers fold stage reports into a
-  /// core::MetricsStore in place and recompute incrementally from it
-  /// (flat: GlobalControllerCore::compute_from_store; hierarchical:
-  /// AggregatorCore::aggregate_from_store at each aggregator). Rules are
-  /// bit-identical to the batch path on the flat topology; hierarchical
-  /// summaries are store-slot-ordered instead of arrival-ordered, which
-  /// only perturbs last-bit FP rounding. Falls back to the legacy batch
-  /// path under a fault plan (degraded cycles need the received-only
-  /// compaction), in coordinated mode, in pass-through mode and with
-  /// local decisions; ExperimentResult::collect_pipeline and
-  /// collect_fallback_reason say which path ran and why.
-  bool store_collect = true;
+  // The collect pipeline follows from the mode (see
+  // ExperimentResult::collect_pipeline): the flat and pre-aggregating
+  // hierarchical topologies with central decisions fold stage reports
+  // into a core::MetricsStore in place and recompute incrementally from
+  // it (flat: GlobalControllerCore::compute_from_store; hierarchical:
+  // AggregatorCore::aggregate_from_store at each aggregator). Every other
+  // mode keeps the per-cycle batch path.
   /// Ablation: force the store-backed compute to rebuild every job from
   /// scratch each cycle. Identical decisions, none of the incremental
   /// savings — the control arm for the bit-identity claim.
   bool psfa_full_recompute = false;
-  /// Delta-encoded collect frames (requires the store path): after its
+  /// Delta-encoded collect frames (store-path modes only): after its
   /// first report each stage sends a StageMetricsDelta carrying only
   /// the fields that changed since its previous report, with a full
   /// StageMetrics refresh every `delta_refresh` cycles (staggered by
@@ -103,7 +100,9 @@ struct ExperimentConfig {
   std::size_t delta_refresh = 64;
   /// MetricsStore compute-view threshold (ops/s): reported moves of at
   /// most this magnitude leave the compute view — and therefore the
-  /// incremental dirty sets — untouched. 0 = track every change.
+  /// incremental dirty sets — untouched. 0 = track every change. Only
+  /// the store path has a compute view, so a batch-path mode rejects a
+  /// threshold > 0.
   double activity_threshold = 0.0;
   FronteraProfile profile{};
   /// Wall-clock-independent utilization sampling interval (see
@@ -148,7 +147,7 @@ struct ExperimentConfig {
 };
 
 /// The collect pipeline a run used: the columnar store path or the
-/// legacy per-cycle batch path (see ExperimentConfig::store_collect).
+/// per-cycle batch path.
 enum class CollectPipeline : std::uint8_t { kStore, kBatch };
 
 /// One controller's resource usage in the units of Tables II–IV.
@@ -220,9 +219,12 @@ struct ExperimentResult {
   /// Delta-encoded collect frames were on (delta_collect requested and the
   /// store path ran).
   bool delta_collect = false;
-  /// Why the batch path ran although store_collect was requested (a fault
-  /// plan, coordinated mode, pass-through mode, local decisions); empty
-  /// when the requested pipeline ran.
+  /// Why the mode takes the batch path, empty on the store path: a fault
+  /// plan (a degraded cycle computes on the replies that arrived, compacted
+  /// in slot order, not on the store's last rows), coordinated mode (peers
+  /// exchange per-cycle summaries), pass-through mode (aggregators relay
+  /// raw reports) or local decisions (aggregators run PSFA on their own
+  /// reports).
   std::string collect_fallback_reason;
 };
 

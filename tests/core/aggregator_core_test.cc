@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace sds::core {
 namespace {
 
@@ -125,6 +131,94 @@ TEST(AggregatorCoreTest, LocalComputeExpiredLeaseYieldsNothing) {
   agg.set_lease(lease);
   const std::vector<proto::StageMetrics> input = {metrics(1, 0, 1000, 100)};
   EXPECT_TRUE(agg.local_compute(1, input, /*now_ns=*/200).empty());
+}
+
+/// Bit pattern of a double or float, so equality below is bitwise.
+template <typename T>
+auto bits(T v) {
+  if constexpr (sizeof(T) == 8) {
+    return std::bit_cast<std::uint64_t>(v);
+  } else {
+    return std::bit_cast<std::uint32_t>(v);
+  }
+}
+
+void expect_bit_identical(const proto::AggregatedMetrics& store,
+                          const proto::AggregatedMetrics& batch) {
+  EXPECT_EQ(store.cycle_id, batch.cycle_id);
+  EXPECT_EQ(store.from, batch.from);
+  EXPECT_EQ(store.total_stages, batch.total_stages);
+  ASSERT_EQ(store.jobs.size(), batch.jobs.size());
+  for (std::size_t j = 0; j < batch.jobs.size(); ++j) {
+    const proto::JobMetrics& got = store.jobs[j];
+    const proto::JobMetrics& want = batch.jobs[j];
+    EXPECT_EQ(got.job_id, want.job_id) << j;
+    EXPECT_EQ(got.stage_count, want.stage_count) << j;
+    EXPECT_EQ(bits(got.data_iops), bits(want.data_iops)) << j;
+    EXPECT_EQ(bits(got.meta_iops), bits(want.meta_iops)) << j;
+  }
+  ASSERT_EQ(store.digests.size(), batch.digests.size());
+  for (std::size_t i = 0; i < batch.digests.size(); ++i) {
+    const proto::StageDigest& got = store.digests[i];
+    const proto::StageDigest& want = batch.digests[i];
+    EXPECT_EQ(got.stage_id, want.stage_id) << i;
+    EXPECT_EQ(bits(got.data_iops), bits(want.data_iops)) << i;
+    EXPECT_EQ(bits(got.meta_iops), bits(want.meta_iops)) << i;
+  }
+}
+
+TEST(AggregatorCoreTest, AggregateFromStoreMatchesSlotOrderedBatchBitForBit) {
+  // The incremental summary over the store equals the batch aggregate()
+  // over the same last reports in slot order — jobs, digests and counts,
+  // bit for bit — while a random walk dirties only part of the subtree
+  // each cycle. Stage ids start mid-range and jobs interleave across
+  // slots, as in one aggregator's block of a larger topology.
+  constexpr std::uint32_t kStages = 90;
+  constexpr std::uint32_t kJobs = 13;
+  constexpr std::uint32_t kFirstStage = 400;
+  AggregatorCore incremental(AggregatorOptions{ControllerId{5}});
+  const AggregatorCore batch(AggregatorOptions{ControllerId{5}});
+  MetricsStore& store = incremental.store();
+  store.reset(kStages);
+  std::vector<proto::StageMetrics> last(kStages);
+  Rng rng(0xa66u);
+  for (std::uint32_t i = 0; i < kStages; ++i) {
+    const std::uint32_t job = (i * 7) % kJobs;
+    ASSERT_EQ(store.bind(StageId{kFirstStage + i}, JobId{job}), i);
+    last[i] = metrics(kFirstStage + i, job, rng.uniform(500.0, 1500.0),
+                      rng.uniform(50.0, 150.0));
+  }
+  for (std::uint64_t cycle = 1; cycle <= 100; ++cycle) {
+    // Cycle 1 reports every stage; later cycles re-report a random
+    // subset (the rest keep their previous row), with drifting, zeroed
+    // and negative rates.
+    std::size_t moved = 0;
+    for (std::uint32_t i = 0; i < kStages; ++i) {
+      if (cycle > 1 && !rng.bernoulli(0.15)) continue;
+      proto::StageMetrics& m = last[i];
+      m.cycle_id = cycle;
+      const double roll = rng.uniform01();
+      if (roll < 0.1) {
+        m.data_iops = 0.0;
+      } else if (roll < 0.15) {
+        m.data_iops = -rng.uniform(1.0, 10.0);
+      } else {
+        m.data_iops *= 1.0 + rng.normal(0, 0.1);
+      }
+      m.meta_iops += rng.normal(0, 3.0);
+      store.update_at(i, m);
+      ++moved;
+    }
+    if (cycle > 1) {
+      ASSERT_LT(moved, kStages) << "cycle " << cycle;
+    }
+    const proto::AggregatedMetrics& from_store =
+        incremental.aggregate_from_store(cycle);
+    expect_bit_identical(from_store, batch.aggregate(cycle, last));
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "diverged at cycle " << cycle;
+    }
+  }
 }
 
 }  // namespace

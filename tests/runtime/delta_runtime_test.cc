@@ -105,27 +105,6 @@ TEST(DeltaRuntimeTest, DeltaCollectsShrinkInboundWireBytes) {
       << "full=" << full_bytes << " delta=" << delta_bytes;
 }
 
-TEST(DeltaRuntimeTest, BatchPipelineAblationMatchesStorePath) {
-  // With every stage reporting every cycle, the store compute path and
-  // the legacy batch pipeline make bit-identical decisions.
-  transport::InProcNetwork net_store;
-  auto store = Deployment::create(net_store, contended_options()).value();
-
-  transport::InProcNetwork net_batch;
-  auto options = contended_options();
-  options.use_metrics_store = false;
-  auto batch = Deployment::create(net_batch, options).value();
-
-  ASSERT_TRUE(store->global().run_cycles(8).is_ok());
-  ASSERT_TRUE(batch->global().run_cycles(8).is_ok());
-
-  const auto limits_store = collect_limits(*store, 16);
-  const auto limits_batch = collect_limits(*batch, 16);
-  for (std::size_t i = 0; i < limits_store.size(); ++i) {
-    EXPECT_EQ(limits_store[i], limits_batch[i]) << "limit " << i;
-  }
-}
-
 TEST(DeltaRuntimeTest, FullRecomputeAblationMatchesIncremental) {
   transport::InProcNetwork net_inc;
   auto inc_options = contended_options();

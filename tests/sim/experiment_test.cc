@@ -332,6 +332,42 @@ TEST(DeepHierarchyTest, RequiresCompatibleModes) {
   config.num_aggregators = 8;
   EXPECT_EQ(run_experiment(config).status().code(),
             StatusCode::kInvalidArgument);
+
+  // Super-aggregators need aggregators under them and no peers beside
+  // them; neither combination may silently run without its third level.
+  config.num_super_aggregators = 2;
+  config.num_aggregators = 0;
+  EXPECT_EQ(run_experiment(config).status().code(),
+            StatusCode::kInvalidArgument);
+  config.coordinated_peers = 2;
+  EXPECT_EQ(run_experiment(config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ExperimentTest, AggregatorTierSettingsRequireAggregators) {
+  // local_decisions, preaggregate and parallel_fanout configure the
+  // aggregator tier: the flat and coordinated topologies reject them
+  // rather than run as if they were unset.
+  for (const std::size_t peers : {0ul, 3ul}) {
+    ExperimentConfig local = quick(60);
+    local.coordinated_peers = peers;
+    local.local_decisions = true;
+    EXPECT_EQ(run_experiment(local).status().code(),
+              StatusCode::kInvalidArgument)
+        << peers;
+    ExperimentConfig passthrough = quick(60);
+    passthrough.coordinated_peers = peers;
+    passthrough.preaggregate = false;
+    EXPECT_EQ(run_experiment(passthrough).status().code(),
+              StatusCode::kInvalidArgument)
+        << peers;
+    ExperimentConfig serial = quick(60);
+    serial.coordinated_peers = peers;
+    serial.parallel_fanout = false;
+    EXPECT_EQ(run_experiment(serial).status().code(),
+              StatusCode::kInvalidArgument)
+        << peers;
+  }
 }
 
 TEST(DeepHierarchyTest, Deterministic) {
@@ -430,23 +466,6 @@ TEST(CoordinatedSimTest, FasterThanHierarchyAtScale) {
 
 // ---- Columnar store / delta-collect path ----------------------------
 
-TEST(StoreCollectTest, FlatStorePathBitIdenticalToLegacyBatch) {
-  ExperimentConfig legacy = quick(120);
-  legacy.store_collect = false;
-  ExperimentConfig store = quick(120);
-  store.store_collect = true;
-  const auto a = run_experiment(legacy);
-  const auto b = run_experiment(store);
-  ASSERT_TRUE(a.is_ok());
-  ASSERT_TRUE(b.is_ok());
-  ASSERT_EQ(a->final_data_limits.size(), b->final_data_limits.size());
-  for (std::size_t i = 0; i < a->final_data_limits.size(); ++i) {
-    ASSERT_EQ(a->final_data_limits[i], b->final_data_limits[i]) << i;
-    ASSERT_EQ(a->final_meta_limits[i], b->final_meta_limits[i]) << i;
-  }
-  EXPECT_EQ(a->final_data_limit_sum, b->final_data_limit_sum);
-}
-
 TEST(StoreCollectTest, FullRecomputeAblationBitIdentical) {
   ExperimentConfig incremental = quick(150);
   ExperimentConfig full = quick(150);
@@ -461,21 +480,6 @@ TEST(StoreCollectTest, FullRecomputeAblationBitIdentical) {
     ASSERT_EQ(a->final_meta_limits[i], b->final_meta_limits[i]) << i;
   }
   EXPECT_EQ(a->cycles, b->cycles);
-}
-
-TEST(StoreCollectTest, HierStorePathMatchesLegacyWithinTolerance) {
-  // Hierarchical summaries are slot-ordered on the store path (vs
-  // arrival-ordered legacy): FP sums may differ in the last bit, so the
-  // comparison is tight but not bitwise.
-  ExperimentConfig legacy = quick(400, 4);
-  legacy.store_collect = false;
-  ExperimentConfig store = quick(400, 4);
-  const auto a = run_experiment(legacy);
-  const auto b = run_experiment(store);
-  ASSERT_TRUE(a.is_ok());
-  ASSERT_TRUE(b.is_ok());
-  EXPECT_NEAR(a->final_data_limit_sum, b->final_data_limit_sum,
-              a->final_data_limit_sum * 1e-9);
 }
 
 TEST(StoreCollectTest, DeltaCollectBitIdenticalAndCheaperOnTheWire) {
@@ -526,15 +530,45 @@ TEST(StoreCollectTest, DeltaCollectWorksHierPreaggregated) {
 }
 
 TEST(StoreCollectTest, DeltaCollectRequiresStorePath) {
-  ExperimentConfig config = quick(50);
-  config.store_collect = false;
-  config.delta_collect = true;
-  EXPECT_EQ(run_experiment(config).status().code(),
+  // A mode that takes the batch path has no store to fold deltas into.
+  ExperimentConfig passthrough = quick(50, 2);
+  passthrough.preaggregate = false;
+  passthrough.delta_collect = true;
+  EXPECT_EQ(run_experiment(passthrough).status().code(),
             StatusCode::kInvalidArgument);
-  config.store_collect = true;
+  ExperimentConfig config = quick(50);
+  config.delta_collect = true;
   config.delta_refresh = 0;
   EXPECT_EQ(run_experiment(config).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(StoreCollectTest, ActivityThresholdRequiresStorePath) {
+  // Only the store has a compute view to apply the threshold to; every
+  // batch-path mode rejects it instead of running without it.
+  const auto rejected = [](ExperimentConfig config) {
+    config.activity_threshold = 25.0;
+    EXPECT_EQ(run_experiment(config).status().code(),
+              StatusCode::kInvalidArgument);
+  };
+  fault::FaultPlan plan;
+  plan.crash_stage(3, millis(1), millis(2));
+  ExperimentConfig faulted = quick(40);
+  faulted.fault_plan = &plan;
+  rejected(faulted);
+  ExperimentConfig coordinated = quick(40);
+  coordinated.coordinated_peers = 2;
+  rejected(coordinated);
+  ExperimentConfig passthrough = quick(40, 2);
+  passthrough.preaggregate = false;
+  rejected(passthrough);
+  ExperimentConfig local = quick(40, 2);
+  local.local_decisions = true;
+  rejected(local);
+  ExperimentConfig hier = quick(40, 2);
+  hier.max_cycles = 2;
+  hier.activity_threshold = 25.0;
+  EXPECT_TRUE(run_experiment(hier).is_ok());
 }
 
 TEST(StoreCollectTest, ActivityThresholdStillRespectsBudget) {
@@ -581,13 +615,6 @@ TEST(CollectPipelineTest, DeltaCollectReportedOn) {
   hier.max_cycles = 2;
   hier.delta_collect = true;
   expect_pipeline(hier, CollectPipeline::kStore, true, "");
-}
-
-TEST(CollectPipelineTest, BatchRequestedIsNoFallback) {
-  ExperimentConfig config = quick(40);
-  config.max_cycles = 2;
-  config.store_collect = false;
-  expect_pipeline(config, CollectPipeline::kBatch, false, "");
 }
 
 TEST(CollectPipelineTest, FaultPlanFallsBackToBatch) {
