@@ -241,6 +241,9 @@ constexpr Case kCases[] = {
      {0x364b6fe29047498f, 18804}, {0xd4e8a4682431df16, 18804}},
     {"deep", 200, 8, 2, 0, Variant::kPlain,
      {0x8bf66f6328bdf8eb, 15528}, {0xa6b98e353e7eaf36, 15528}},
+    // Supers of 2, 2 and 3 aggregators: uneven child positions.
+    {"deep-uneven", 250, 7, 3, 0, Variant::kPlain,
+     {0xe10bf973a3c0df49, 19128}, {0x75107f9ccb82df7c, 19128}},
     {"coordinated", 120, 0, 0, 3, Variant::kPlain,
      {0xc5b694b77d62ab1a, 8892}, {0x6d3c4f865abce51c, 8892}},
     {"local-decisions", 250, 7, 0, 0, Variant::kLocalDecisions,
@@ -253,6 +256,8 @@ constexpr Case kCases[] = {
      {0x1ece89d934686ca3, 8688}, {0xbebf81e7436ef5d9, 8688}},
     {"hier-delta", 250, 7, 0, 0, Variant::kDeltaCollect,
      {0x222dece93324229b, 18804}, {0xf86f79aa5cfd6824, 18804}},
+    {"deep-delta", 200, 8, 2, 0, Variant::kDeltaCollect,
+     {0x3234e179b9f943b2, 15528}, {0x7d57cb45c89852c1, 15528}},
     {"flat-faults", 60, 0, 0, 0, Variant::kFaults,
      {0x4b557c7a47bcb90e, 3929}, {0x853bac7ca2456bbb, 3929}},
     {"hier-faults", 64, 4, 0, 0, Variant::kFaults,
@@ -295,9 +300,11 @@ Result<ExperimentResult> run_case(std::string_view name, std::uint64_t seed) {
 
 TEST(ExperimentFingerprintTest, VariantsExerciseTheirPaths) {
   // Guards against a pin that silently stopped covering its mode.
-  const auto delta = run_case("hier-delta", 42);
-  ASSERT_TRUE(delta.is_ok());
-  EXPECT_GT(delta->collect_frames_delta, 0u);
+  for (const char* name : {"hier-delta", "deep-delta"}) {
+    const auto delta = run_case(name, 42);
+    ASSERT_TRUE(delta.is_ok()) << name;
+    EXPECT_GT(delta->collect_frames_delta, 0u) << name;
+  }
   const auto faults = run_case("hier-faults", 42);
   ASSERT_TRUE(faults.is_ok());
   EXPECT_GT(faults->faults_injected, 0u);
