@@ -107,6 +107,39 @@ ComputeResult GlobalControllerCore::compute(
                                   detail);
 }
 
+std::vector<proto::BudgetLease> GlobalControllerCore::lease_budgets(
+    std::span<const proto::AggregatedMetrics> aggregated,
+    std::uint64_t valid_until_ns) const {
+  double total_data = 0;
+  double total_meta = 0;
+  for (const auto& report : aggregated) {
+    for (const auto& job : report.jobs) {
+      total_data += job.data_iops;
+      total_meta += job.meta_iops;
+    }
+  }
+  const Budgets& budgets = policies_.budgets();
+  const auto n = static_cast<double>(aggregated.size());
+  std::vector<proto::BudgetLease> leases;
+  leases.reserve(aggregated.size());
+  for (const auto& report : aggregated) {
+    double data = 0;
+    double meta = 0;
+    for (const auto& job : report.jobs) {
+      data += job.data_iops;
+      meta += job.meta_iops;
+    }
+    proto::BudgetLease& lease = leases.emplace_back();
+    lease.cycle_id = cycle_;
+    lease.data_budget = total_data > 0 ? budgets.data_iops * data / total_data
+                                       : budgets.data_iops / n;
+    lease.meta_budget = total_meta > 0 ? budgets.meta_iops * meta / total_meta
+                                       : budgets.meta_iops / n;
+    lease.valid_until_ns = valid_until_ns;
+  }
+  return leases;
+}
+
 ComputeResult GlobalControllerCore::compute_from_job_demands(
     std::vector<policy::JobDemand> data_demands,
     std::vector<policy::JobDemand> meta_demands,

@@ -65,6 +65,15 @@ class GlobalControllerCore {
   [[nodiscard]] ComputeResult compute(
       std::span<const proto::AggregatedMetrics> aggregated) const;
 
+  /// Local-decision mode: splits the budgets across the aggregators in
+  /// proportion to the demand each reported (`budget * agg / total` per
+  /// dimension, or an even `budget / n` when the total is zero). Lease i
+  /// answers aggregated[i]; each carries the current cycle and
+  /// `valid_until_ns`.
+  [[nodiscard]] std::vector<proto::BudgetLease> lease_budgets(
+      std::span<const proto::AggregatedMetrics> aggregated,
+      std::uint64_t valid_until_ns) const;
+
   /// Incremental flat path over a columnar MetricsStore: re-sums demand
   /// only for jobs with dirty stages, re-runs the control algorithm only
   /// when some job's (demand, weight) or a budget changed, and re-splits

@@ -506,39 +506,16 @@ Result<core::PhaseBreakdown> GlobalControllerServer::run_lease_phase(
     const CycleTargets& targets, core::PhaseBreakdown breakdown,
     Stopwatch& phase) {
   // ---- Compute: demand-proportional budget leases --------------------
-  double total_data = 0;
-  double total_meta = 0;
-  for (const auto& report : aggregated) {
-    for (const auto& job : report.jobs) {
-      total_data += job.data_iops;
-      total_meta += job.meta_iops;
-    }
-  }
-  core::Budgets budgets;
-  {
-    MutexLock lock(mu_);
-    budgets = core_.policies().budgets();
-  }
   const std::uint64_t valid_until = static_cast<std::uint64_t>(
       (clock_->now() + options_.lease_validity).count());
-
+  std::vector<proto::BudgetLease> split;
+  {
+    MutexLock lock(mu_);
+    split = core_.lease_budgets(aggregated, valid_until);
+  }
   std::unordered_map<ControllerId, proto::BudgetLease> leases;
-  const double fallback = aggregated.empty() ? 1.0 : 1.0 / aggregated.size();
-  for (const auto& report : aggregated) {
-    double agg_data = 0;
-    double agg_meta = 0;
-    for (const auto& job : report.jobs) {
-      agg_data += job.data_iops;
-      agg_meta += job.meta_iops;
-    }
-    proto::BudgetLease lease;
-    lease.cycle_id = cycle;
-    lease.data_budget = budgets.data_iops *
-                        (total_data > 0 ? agg_data / total_data : fallback);
-    lease.meta_budget = budgets.meta_iops *
-                        (total_meta > 0 ? agg_meta / total_meta : fallback);
-    lease.valid_until_ns = valid_until;
-    leases[report.from] = lease;
+  for (std::size_t i = 0; i < aggregated.size(); ++i) {
+    leases[aggregated[i].from] = split[i];
   }
   breakdown.compute = phase.elapsed();
   phase.restart();

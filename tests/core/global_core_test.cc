@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "core/aggregator.h"
 
@@ -249,6 +251,60 @@ TEST(GlobalCoreTest, FlatVsHierarchicalSameJobAllocations) {
     EXPECT_NEAR(flat_result.data_allocations[i].allocation,
                 hier_result.data_allocations[i].allocation, 1e-6);
   }
+}
+
+/// One aggregator's summary with one job row per (data, meta) pair.
+proto::AggregatedMetrics summary(
+    std::uint32_t from, const std::vector<std::pair<double, double>>& jobs) {
+  proto::AggregatedMetrics report;
+  report.from = ControllerId{from};
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    proto::JobMetrics row;
+    row.job_id = JobId{static_cast<std::uint32_t>(from * 10 + j)};
+    row.data_iops = jobs[j].first;
+    row.meta_iops = jobs[j].second;
+    report.jobs.push_back(row);
+  }
+  return report;
+}
+
+TEST(GlobalCoreTest, LeaseBudgetsSplitInProportionToReportedDemand) {
+  GlobalControllerCore core(small_budget_options());  // 1000 data, 100 meta
+  (void)core.begin_cycle();
+  (void)core.begin_cycle();
+  const std::vector<proto::AggregatedMetrics> reports = {
+      summary(0, {{300, 10}, {100, 10}}), summary(1, {{600, 60}})};
+  const auto leases = core.lease_budgets(reports, 12345);
+  ASSERT_EQ(leases.size(), 2u);
+  // budget * agg / total, in that order: 1000 * 400 / 1000 and
+  // 100 * 20 / 80.
+  EXPECT_EQ(leases[0].data_budget, 1000.0 * 400.0 / 1000.0);
+  EXPECT_EQ(leases[0].meta_budget, 100.0 * 20.0 / 80.0);
+  EXPECT_EQ(leases[1].data_budget, 1000.0 * 600.0 / 1000.0);
+  EXPECT_EQ(leases[1].meta_budget, 100.0 * 60.0 / 80.0);
+  for (const auto& lease : leases) {
+    EXPECT_EQ(lease.cycle_id, 2u);
+    EXPECT_EQ(lease.valid_until_ns, 12345u);
+  }
+}
+
+TEST(GlobalCoreTest, LeaseBudgetsSplitEvenlyPerDimensionWithoutDemand) {
+  GlobalControllerCore core(small_budget_options());
+  (void)core.begin_cycle();
+  // No data demand anywhere; meta demand only at aggregator 2.
+  const std::vector<proto::AggregatedMetrics> reports = {
+      summary(0, {}), summary(1, {{0, 0}}), summary(2, {{0, 30}})};
+  const auto leases = core.lease_budgets(reports, 7);
+  ASSERT_EQ(leases.size(), 3u);
+  for (const auto& lease : leases) {
+    EXPECT_EQ(lease.data_budget, 1000.0 / 3.0);
+    EXPECT_EQ(lease.cycle_id, 1u);
+    EXPECT_EQ(lease.valid_until_ns, 7u);
+  }
+  EXPECT_EQ(leases[0].meta_budget, 0.0);
+  EXPECT_EQ(leases[1].meta_budget, 0.0);
+  EXPECT_EQ(leases[2].meta_budget, 100.0);
+  EXPECT_TRUE(core.lease_budgets({}, 7).empty());
 }
 
 TEST(GlobalCoreTest, EmptyMetricsYieldNoRules) {
