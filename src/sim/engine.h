@@ -243,7 +243,7 @@ class Engine {
 
   /// Append one chunk of empty cells; existing cells never move.
   void grow_slab() {
-    chunks_.push_back(std::unique_ptr<EventFn[]>(new EventFn[kChunkCells]));
+    chunks_.push_back(std::make_unique<EventFn[]>(kChunkCells));
   }
 
   /// The next key in execution order. Precondition: prepare_next() true.
