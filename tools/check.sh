@@ -2,6 +2,8 @@
 # tools/check.sh — run the full correctness matrix in one command.
 #
 #   default   plain build + full ctest (the tier-1 gate)
+#   release   -DCMAKE_BUILD_TYPE=Release -DSDS_WERROR=ON build + full
+#             ctest (warnings GCC raises only at -O3 fail the build)
 #   asan      -DSDS_ASAN=ON build + full ctest (ASan + LSan)
 #   ubsan     -DSDS_UBSAN=ON build + full ctest
 #   tsan      -DSDS_TSAN=ON build + `ctest -L 'tsan|resilience'` (the
@@ -25,7 +27,7 @@
 #             `format`; skipped when clang-format is not installed)
 #
 # Usage:
-#   tools/check.sh                # default asan ubsan tsan lint tidy tsa
+#   tools/check.sh                # every stage above except format
 #   tools/check.sh asan lint      # just those stages
 #   tools/check.sh --format       # everything plus format verification
 #   tools/check.sh --quick        # default + lint + conformance only
@@ -47,11 +49,11 @@ for arg in "$@"; do
     --format) WITH_FORMAT=1 ;;
     --quick) STAGES+=(default lint conformance) ;;
     --help|-h)
-      sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     format) WITH_FORMAT=1 ;;
-    default|asan|ubsan|tsan|tracing|million|lint|conformance|tidy|tsa)
+    default|release|asan|ubsan|tsan|tracing|million|lint|conformance|tidy|tsa)
       STAGES+=("$arg") ;;
     *)
       echo "check.sh: unknown stage '$arg' (see --help)" >&2
@@ -60,7 +62,7 @@ for arg in "$@"; do
   esac
 done
 if [ "${#STAGES[@]}" -eq 0 ]; then
-  STAGES=(default asan ubsan tsan tracing million lint conformance tidy tsa)
+  STAGES=(default release asan ubsan tsan tracing million lint conformance tidy tsa)
 fi
 if [ "$WITH_FORMAT" -eq 1 ]; then
   STAGES+=(format)
@@ -89,6 +91,13 @@ run_stage() {
       note "default build + full ctest"
       configure_and_build build-check/default || return 1
       ctest --test-dir build-check/default -j "$JOBS" --output-on-failure \
+        || return 1
+      ;;
+    release)
+      note "Release build with warnings as errors + full ctest"
+      configure_and_build build-check/release -DCMAKE_BUILD_TYPE=Release \
+        -DSDS_WERROR=ON || return 1
+      ctest --test-dir build-check/release -j "$JOBS" --output-on-failure \
         || return 1
       ;;
     asan)
