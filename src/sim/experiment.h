@@ -39,12 +39,16 @@ struct ExperimentConfig {
   std::size_t num_aggregators = 0;
   /// Optional third control level: super-aggregators between the global
   /// controller and the aggregators (global → supers → aggregators →
-  /// stages). Each super-aggregator relays collects downward, merges its
-  /// children's summaries upward, and splits enforce batches per child.
-  /// Requires num_aggregators > 0 (and no coordinated peers),
-  /// pre-aggregation, parallel fan-out and central decisions. A deeper tree becomes *necessary* only when the
-  /// 2-level fan-outs exceed the connection cap (cap² stages); below
-  /// that it just adds a hop — which this mode lets you measure.
+  /// stages), each over a contiguous run of aggregators. A
+  /// super-aggregator is a node of the same controller tree as the global
+  /// controller and the aggregators: it fans the collect out to its
+  /// children, merges their summaries in child order and reports up,
+  /// passes each child its rules and sends one merged ack, its gates
+  /// counting child reports and acks. Requires num_aggregators > 0 (and
+  /// no coordinated peers), pre-aggregation, parallel fan-out, central
+  /// decisions and no fault plan. A deeper tree becomes *necessary* only
+  /// when the 2-level fan-outs exceed the connection cap (cap² stages);
+  /// below that it just adds a hop — which this mode lets you measure.
   std::size_t num_super_aggregators = 0;
   /// Coordinated flat peers (paper §VI future work #1): K controllers
   /// each own a disjoint stage set, exchange per-job demand summaries
